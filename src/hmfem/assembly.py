@@ -11,9 +11,10 @@ The operators of the coupled drift-wave system:
 
 M, A and S are integrated exactly (P1 integrands are polynomial of degree
 <= 2 per element); R uses the 3-point edge-midpoint rule, exact whenever the
-drift gradient is affine.  B is accumulated element by element, never through
-the N matrices S(e_j).  All operators share the grid's fixed sparsity
-pattern, so value arrays of different operators are aligned slot by slot.
+drift gradient is affine.  The discrete Poisson bracket is antisymmetric,
+so B(W) = -S(W) exactly and B needs no kernel of its own.  All operators
+share the grid's fixed sparsity pattern, so value arrays of different
+operators are aligned slot by slot.
 """
 
 from __future__ import annotations
@@ -60,11 +61,8 @@ def assemble_mass(grid: DofGrid) -> CsrMatrix:
 
 def assemble_stiffness(grid: DofGrid) -> CsrMatrix:
     """Exact P1 stiffness matrix; constants lie in its kernel."""
-    nel = len(grid.elements)
-    vals = np.empty((nel, 9))
-    for e in range(nel):
-        g = grid.tri_grads[e]
-        vals[e] = (grid.tri_area[e] * (g @ g.T)).reshape(-1)
+    g = grid.tri_grads
+    vals = grid.tri_area[:, None, None] * (g @ g.transpose(0, 2, 1))
     return pattern_csr(grid, vals.reshape(-1))
 
 
@@ -74,8 +72,8 @@ def assemble_R(grid: DofGrid, grad_p) -> CsrMatrix:
     ``grad_p(x, y)`` must accept numpy arrays and return the pair
     ``(p_x, p_y)``.  The 3-point edge-midpoint rule is exact for affine p.
     """
-    nel = len(grid.elements)
-    corners = np.array([el.coords for el in grid.elements])  # (nel, 3, 2)
+    nel = len(grid.tri_area)
+    corners = grid.tri_coords  # (nel, 3, 2)
     mids = 0.5 * (corners + np.roll(corners, -1, axis=1))  # edge (k, k+1) midpoints
     px, py = grad_p(mids[..., 0], mids[..., 1])
     px = np.broadcast_to(np.asarray(px, dtype=float), (nel, 3))
@@ -88,13 +86,10 @@ def assemble_R(grid: DofGrid, grad_p) -> CsrMatrix:
         )
     # phi_a at the midpoint of edge (k, k+1); rows k, columns a.
     phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    vals = np.empty((nel, 3, 3))
-    third = grid.tri_area / 3.0
-    for e in range(nel):
-        g = grid.tri_grads[e]
-        # V(p) . grad phi_b at each midpoint k: (nel-local 3x3, rows k, cols b)
-        vdotg = -py[e, :, None] * g[None, :, 0] + px[e, :, None] * g[None, :, 1]
-        vals[e] = third[e] * (phi.T @ vdotg)
+    g = grid.tri_grads
+    # V(p) . grad phi_b at each midpoint k: per element 3x3, rows k, cols b
+    vdotg = -py[:, :, None] * g[:, None, :, 0] + px[:, :, None] * g[:, None, :, 1]
+    vals = (grid.tri_area / 3.0)[:, None, None] * (phi.T @ vdotg)
     return pattern_csr(grid, vals.reshape(-1))
 
 
@@ -108,7 +103,8 @@ def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:
     U = np.asarray(U, dtype=float)
     if U.shape != (grid.N,):
         raise ShapeError(f"coefficient vector needs length {grid.N}, got {U.shape}")
-    nel = len(grid.elements)
+    # Still a loop: vectorized alone, it flips C03's ordering (ROADMAP item 1).
+    nel = len(grid.tri_area)
     vals = np.empty((nel, 3, 3))
     third = grid.tri_area / 3.0
     for e in range(nel):
@@ -120,23 +116,12 @@ def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:
 
 
 def assemble_B(grid: DofGrid, W: np.ndarray) -> CsrMatrix:
-    """Matrix with columns S(e_j) W, accumulated directly from elements.
+    """Matrix with columns S(e_j) W, i.e. the derivative of S(U) W in U.
 
-    Column j of the result is <V(phi_j) . grad w_N, phi_I>; each element
-    touches at most 3 columns, so no S(e_j) is ever materialized.
+    The P1 Poisson bracket is antisymmetric, {phi_j, w_N} = -{w_N, phi_j},
+    and the area/3 rule keeps that exactly, so B(W) = -S(W) bit for bit.
     """
-    W = np.asarray(W, dtype=float)
-    if W.shape != (grid.N,):
-        raise ShapeError(f"coefficient vector needs length {grid.N}, got {W.shape}")
-    nel = len(grid.elements)
-    vals = np.empty((nel, 3, 3))
-    third = grid.tri_area / 3.0
-    for e in range(nel):
-        g = grid.tri_grads[e]
-        wx, wy = W[grid.tri_dofs[e]] @ g
-        # V(phi_b) . grad w_N = -phi_b,y w_x + phi_b,x w_y, one value per column
-        vals[e] = third[e] * (g[:, 0] * wy - g[:, 1] * wx)
-    return pattern_csr(grid, vals.reshape(-1))
+    return -assemble_S(grid, W)
 
 
 def assemble_operators(grid: DofGrid, grad_p) -> FemOperators:

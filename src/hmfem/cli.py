@@ -7,6 +7,7 @@ times excepted), so runs can be diffed and fed to any plotting tool.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,6 +76,9 @@ def parse_args(argv) -> RunConfig:
         )
     if not 1 <= test <= 5:
         parser.error(f"--test must be 1..5, got {test}")
+    for flag in ("tau", "T", "tol", "cap"):
+        if not math.isfinite(getattr(ns, flag)):
+            parser.error(f"--{flag} must be finite, got {getattr(ns, flag)}")
     if ns.tau <= 0:
         parser.error(f"--tau must be positive, got {ns.tau}")
     if ns.T < 0:

@@ -10,6 +10,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +31,13 @@ class Element:
 class DofGrid:
     """Structured periodic triangulation with (n-1)^2 degrees of freedom.
 
-    Besides the element list, the grid carries array views of the same data
-    (``tri_dofs``, ``tri_grads``, ``tri_area``) for the assembly loops, and
-    the fixed sparsity pattern shared by every assembled operator: all of
-    M, A, K, R, S(U) and B(W) live on the element-pair pattern with at most
-    7 entries per row.
+    The element data lives in arrays: ``tri_dofs``, ``tri_coords``,
+    ``tri_grads`` and ``tri_area``, in cell-major order (cy, cx) with two
+    triangles per cell.  The grid also carries the fixed sparsity pattern
+    shared by every assembled operator: all of M, A, K, R, S(U) and B(W)
+    live on the element-pair pattern with at most 7 entries per row.
+    ``elements`` is a lazily built per-triangle view of the same arrays,
+    for tests and the dense oracle; assembly never touches it.
     """
 
     n: int
@@ -42,8 +45,8 @@ class DofGrid:
     Ly: float
     h: float
     N: int
-    elements: tuple[Element, ...]
     tri_dofs: np.ndarray = field(repr=False)  # (nel, 3) dof indices
+    tri_coords: np.ndarray = field(repr=False)  # (nel, 3, 2) vertices, unwrapped
     tri_grads: np.ndarray = field(repr=False)  # (nel, 3, 2) basis gradients
     tri_area: np.ndarray = field(repr=False)  # (nel,) triangle areas
     # CSR skeleton of the shared operator pattern and the map sending the
@@ -51,6 +54,18 @@ class DofGrid:
     csr_indptr: np.ndarray = field(repr=False)
     csr_indices: np.ndarray = field(repr=False)
     pattern_scatter: np.ndarray = field(repr=False)
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        return tuple(
+            Element(tuple(dofs), coords, area, grads)
+            for dofs, coords, area, grads in zip(
+                self.tri_dofs.tolist(),
+                self.tri_coords,
+                self.tri_area.tolist(),
+                self.tri_grads,
+            )
+        )
 
     @property
     def nnz_pattern(self) -> int:
@@ -90,37 +105,23 @@ def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
     xs = np.linspace(0.0, Lx, n)
     ys = np.linspace(0.0, Ly, n)
 
-    def dof(i, j):
-        return (j % m) * m + (i % m)
-
-    elements = []
-    for cy in range(m):
-        for cx in range(m):
-            ll = (cx, cy)
-            lr = (cx + 1, cy)
-            ur = (cx + 1, cy + 1)
-            ul = (cx, cy + 1)
-            # Diagonal runs lower-left -> upper-right; both triangles CCW.
-            for tri in ((ll, lr, ur), (ll, ur, ul)):
-                dofs = tuple(dof(i, j) for i, j in tri)
-                coords = np.array([(xs[i], ys[j]) for i, j in tri])
-                (x0, y0), (x1, y1), (x2, y2) = coords
-                twice_area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-                grads = (
-                    np.array(
-                        [
-                            (y1 - y2, x2 - x1),
-                            (y2 - y0, x0 - x2),
-                            (y0 - y1, x1 - x0),
-                        ]
-                    )
-                    / twice_area
-                )
-                elements.append(Element(dofs, coords, 0.5 * abs(twice_area), grads))
-
-    tri_dofs = np.array([el.dofs for el in elements], dtype=np.int64)
-    tri_grads = np.array([el.grads for el in elements])
-    tri_area = np.array([el.area for el in elements])
+    # Cells in cy-major order, two triangles each; the diagonal runs
+    # lower-left -> upper-right and both triangles are CCW:
+    # (ll, lr, ur) and (ll, ur, ul) as (di, dj) offsets from ll.
+    offsets = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+    cy, cx = np.divmod(np.arange(N), m)
+    i = (cx[:, None, None] + offsets[None, :, :, 0]).reshape(-1, 3)
+    j = (cy[:, None, None] + offsets[None, :, :, 1]).reshape(-1, 3)
+    tri_dofs = (j % m) * m + (i % m)
+    x, y = xs[i], ys[j]
+    tri_coords = np.stack([x, y], axis=-1)
+    (x0, x1, x2), (y0, y1, y2) = x.T, y.T
+    twice_area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    # grad phi_a = (y_{a+1} - y_{a+2}, x_{a+2} - x_{a+1}) / (2 area)
+    gx = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
+    gy = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
+    tri_grads = np.stack([gx, gy], axis=-1) / twice_area[:, None, None]
+    tri_area = 0.5 * np.abs(twice_area)
 
     # Shared operator pattern: contributions (a, b) over the 3x3 local pairs
     # of each element, a (row) outer, b (col) inner.
@@ -138,8 +139,8 @@ def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
         Ly=float(Ly),
         h=h,
         N=N,
-        elements=tuple(elements),
         tri_dofs=tri_dofs,
+        tri_coords=tri_coords,
         tri_grads=tri_grads,
         tri_area=tri_area,
         csr_indptr=indptr,

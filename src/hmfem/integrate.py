@@ -104,8 +104,10 @@ def run(
     interpolation of u0 and W0 comes from the elliptic solve.  The amplitude
     cap is checked after each completed step.
     """
-    if T < 0:
-        raise ValueError(f"end time must be nonnegative, got {T}")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"end time must be nonnegative and finite, got {T}")
+    if not math.isfinite(cap):
+        raise ValueError(f"amplitude cap must be finite, got {cap}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationError
 from .grid import DofGrid
 
 
@@ -106,4 +106,9 @@ def sample_nodes(spec: ProblemSpec, grid: DofGrid) -> np.ndarray:
     X, Y = np.meshgrid(x, y)  # row-major in j: row index is j, column is i
     u = np.asarray(spec.u0(X, Y), dtype=float)
     u = np.broadcast_to(u, (m, m))
+    bad = ~np.isfinite(u)
+    if bad.any():
+        j, i = np.argwhere(bad)[0]
+        loc = (float(X[j, i]), float(Y[j, i]))
+        raise EvaluationError(f"u0 non-finite at {loc}", location=loc)
     return u.reshape(-1).copy()

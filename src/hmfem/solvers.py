@@ -30,7 +30,6 @@ from .sparse import (
     CsrMatrix,
     LuFactorization,
     SparseLu,
-    block2x2,
     m_norm,
     matvec,
 )
@@ -55,10 +54,10 @@ class SolverConfig:
     method: str = "modified"  # newton | chord | modified | semilinear
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.method not in ("newton", "chord", "modified", "semilinear"):
@@ -96,15 +95,10 @@ def residual(
 
 
 def jacobian(ops: FemOperators, state: State, tau: float) -> CsrMatrix:
-    """Exact Jacobian of F: [[tau B(W) - tau R, M + tau S(U)], [K, -M]]."""
+    """Exact Jacobian of F: [[tau (B(W) - R), M + tau S(U)], [K, -M]]."""
     S_U = assemble_S(ops.grid, state.U)
     B_W = assemble_B(ops.grid, state.W)
-    return block2x2(
-        tau * B_W - tau * ops.R,
-        ops.M + tau * S_U,
-        ops.K,
-        -ops.M,
-    )
+    return CsrMatrix.from_scipy(_block_system(ops, tau).matrix(S_U.values, B_W.values))
 
 
 class _BlockSystem:
@@ -114,7 +108,8 @@ class _BlockSystem:
     symbolic layout serves every iteration of every method; an iteration
     only refills values and refactors.  Blocks K and -M are constant, the
     (1,1) block defaults to -tau R (modified Newton) and is overwritten
-    with tau(B - R) when a B value array is supplied.
+    with tau(B - R) when a B value array is supplied.  ``jacobian()`` is
+    built here too, so this is the one place that knows the block layout.
     """
 
     def __init__(self, ops: FemOperators, tau: float):
@@ -145,14 +140,17 @@ class _BlockSystem:
         template[self._idx[3]] = -self._M_vals
         self._template = template
 
-    def factor(self, S_vals: np.ndarray, B_vals: np.ndarray | None = None) -> SparseLu:
+    def matrix(
+        self, S_vals: np.ndarray, B_vals: np.ndarray | None = None
+    ) -> sp.csc_matrix:
         data = self._template.copy()
         if B_vals is not None:
             data[self._idx[0]] = self._tau * (B_vals - self._R_vals)
         data[self._idx[1]] = self._M_vals + self._tau * S_vals
-        return SparseLu(
-            sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
-        )
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
+
+    def factor(self, S_vals: np.ndarray, B_vals: np.ndarray | None = None) -> SparseLu:
+        return SparseLu(self.matrix(S_vals, B_vals))
 
 
 def _block_system(ops: FemOperators, tau: float) -> _BlockSystem:

@@ -41,6 +41,15 @@ def test_usage_errors_exit_nonzero(argv):
     assert exc.value.code != 0
 
 
+@pytest.mark.parametrize("flag", ["--tau", "--T", "--tol", "--cap"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_flags_are_usage_errors(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args([flag, value, "--out", "d"])
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_snapshot_zero_state(tmp_path):
     g = build_grid(1.0, 1.0, 3)
     st = State(np.zeros(g.N), np.zeros(g.N))

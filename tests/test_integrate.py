@@ -44,6 +44,20 @@ def test_run_T_zero():
     assert res.times == [0.0]
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"T": float("inf")},
+        {"T": float("nan")},
+        {"T": 1.0, "cap": float("nan")},
+        {"T": 1.0, "cap": float("inf")},
+    ],
+)
+def test_run_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        run(preset(1), SolverConfig(tau=0.1), n=5, **kwargs)
+
+
 def test_run_times_and_counts():
     res = run(preset(2), SolverConfig(tau=0.1), T=0.5, snapshot_every=2, n=9)
     assert res.times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hmfem import ConfigurationError, build_grid, preset, sample_nodes
+from hmfem import (
+    ConfigurationError,
+    EvaluationError,
+    SolverConfig,
+    build_grid,
+    preset,
+    run,
+    sample_nodes,
+)
 from hmfem.problems import ProblemSpec
 
 
@@ -84,6 +92,22 @@ def test_sample_nodes_domain_mismatch():
     g = build_grid(1.0, 1.0, 5)
     with pytest.raises(ConfigurationError):
         sample_nodes(spec, g)
+
+
+def test_sample_nodes_nonfinite_u0():
+    # NaN initial data is named at its first node (row-major in j, then i),
+    # not left to surface later as a singular step matrix.
+    spec = ProblemSpec(
+        "nan_u0", 1.0, 1.0,
+        lambda x, y: np.where((x > 0.3) & (y > 0.4), np.nan, x * y),
+        preset(1).grad_p, 12.0,
+    )
+    g = build_grid(1.0, 1.0, 5)
+    with pytest.raises(EvaluationError) as exc:
+        sample_nodes(spec, g)
+    assert exc.value.location == (0.5, 0.5)
+    with pytest.raises(EvaluationError):
+        run(spec, SolverConfig(tau=0.1), 1.0, n=5)
 
 
 def test_fields_finite_on_grids():

@@ -4,6 +4,7 @@ import pytest
 from hmfem import (
     SolverConfig,
     State,
+    assemble_B,
     assemble_operators,
     assemble_S,
     block2x2,
@@ -41,6 +42,20 @@ def test_config_validation():
         SolverConfig(tau=0.1, k_max=0)
     with pytest.raises(ValueError):
         SolverConfig(tau=0.1, method="broyden")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tau": float("nan")},
+        {"tau": float("inf")},
+        {"tau": 0.1, "tol": float("nan")},
+        {"tau": 0.1, "tol": float("inf")},
+    ],
+)
+def test_config_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**kwargs)
 
 
 def test_residual_zero_after_converged_step():
@@ -90,13 +105,27 @@ def test_jacobian_tau_zero_state_independent(rng):
     assert np.allclose(J1, ref, atol=1e-15)
 
 
-def test_jacobian_at_zero_state():
+def test_jacobian_at_zero_state(rng):
     ops, _ = initial_state(preset(2), 5)
     N = ops.grid.N
     tau = 0.2
     J = jacobian(ops, State(np.zeros(N), np.zeros(N)), tau).to_dense()
     ref = block2x2(-tau * ops.R, ops.M, ops.K, -ops.M).to_dense()
     assert np.allclose(J, ref, atol=1e-15)
+    # A nonzero state checks the block layout entry for entry, built
+    # independently of the step matrix; the (1,1) block is tau (B - R).
+    U, W = rng.standard_normal(N), rng.standard_normal(N)
+    J = jacobian(ops, State(U, W), tau).to_dense()
+    B, S = assemble_B(ops.grid, W), assemble_S(ops.grid, U)
+    ref = block2x2(tau * (B - ops.R), ops.M + tau * S, ops.K, -ops.M).to_dense()
+    assert np.array_equal(J, ref)
+
+
+def test_step_path_never_builds_element_view():
+    ops, s0 = initial_state(preset(2), 5)
+    for stepper in (step_newton, step_chord, step_modified, step_semilinear):
+        stepper(ops, s0, SolverConfig(tau=0.1))
+    assert "elements" not in vars(ops.grid)
 
 
 @pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
