@@ -21,6 +21,7 @@ from .errors import (
     EvaluationError,
     InvalidDomainError,
     InvalidPartitionError,
+    NonFiniteError,
     NotSpdError,
     OracleSizeError,
     ShapeError,

@@ -103,15 +103,13 @@ def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:
     U = np.asarray(U, dtype=float)
     if U.shape != (grid.N,):
         raise ShapeError(f"coefficient vector needs length {grid.N}, got {U.shape}")
-    # Still a loop: vectorized alone, it flips C03's ordering (ROADMAP item 1).
-    nel = len(grid.tri_area)
-    vals = np.empty((nel, 3, 3))
-    third = grid.tri_area / 3.0
-    for e in range(nel):
-        g = grid.tri_grads[e]
-        ux, uy = U[grid.tri_dofs[e]] @ g  # grad of u_N, constant on the element
-        # V(u_N) . grad phi_b, one value per column
-        vals[e] = third[e] * (ux * g[:, 1] - uy * g[:, 0])
+    g = grid.tri_grads
+    grad_u = (U[grid.tri_dofs][:, None, :] @ g)[:, 0]  # constant per element
+    # V(u_N) . grad phi_b, one value per column, the same for all 3 rows
+    cols = (grid.tri_area / 3.0)[:, None] * (
+        grad_u[:, :1] * g[:, :, 1] - grad_u[:, 1:] * g[:, :, 0]
+    )
+    vals = np.broadcast_to(cols[:, None, :], g.shape[:1] + (3, 3))
     return pattern_csr(grid, vals.reshape(-1))
 
 

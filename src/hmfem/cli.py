@@ -168,7 +168,7 @@ def main(argv=None) -> int:
         f"{len(result.reports)} steps, stop_reason={result.stop_reason}, "
         f"total_iterations={result.total_iterations()}"
     )
-    if result.stop_reason == "solver_failure":
+    if result.stop_reason in ("solver_failure", "non_finite"):
         return FAILURE_EXIT
     return 0
 

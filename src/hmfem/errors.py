@@ -39,3 +39,7 @@ class ConfigurationError(ValueError):
 
 class OracleSizeError(ValueError):
     """Dense oracle refused: grid too large for brute-force assembly."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A solver iterate or its relative update came out NaN or infinite."""

@@ -1,8 +1,9 @@
 """Implicit-Euler outer loop: initialize W0, advance to T, collect diagnostics.
 
-A run stops for one of three reasons: the end time is reached, the amplitude
-cap max|U| >= cap is hit after a completed step, or a linear solve breaks
-down (partial results are still returned).
+A run stops for one of four reasons: the end time is reached, the amplitude
+cap max|U| >= cap is hit after a completed step, a linear solve breaks
+down, or an iterate comes out non-finite (partial results are still
+returned; the failing step is never accepted).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FemOperators, assemble_operators
-from .errors import SingularMatrixError
+from .errors import NonFiniteError, SingularMatrixError
 from .grid import build_grid
 from .problems import ProblemSpec, sample_nodes
 from .solvers import (
@@ -57,7 +58,7 @@ class RunResult:
     state_times: list[float]
     reports: list[StepReport]
     diagnostics: list[Diagnostics]
-    stop_reason: str  # reached_T | amplitude_cap | solver_failure
+    stop_reason: str  # reached_T | amplitude_cap | solver_failure | non_finite
     tau_report: dict = field(default_factory=dict)
 
     @property
@@ -69,6 +70,12 @@ class RunResult:
 
     def total_wall_time(self) -> float:
         return sum(r.wall_time for r in self.reports)
+
+    def total_factorizations(self) -> int:
+        return sum(r.n_factor for r in self.reports)
+
+    def total_linear_iterations(self) -> int:
+        return sum(r.n_linear_iters for r in self.reports)
 
 
 def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
@@ -134,6 +141,10 @@ def run(
         except SingularMatrixError as exc:
             log.warning("linear solve failed at t=%.6g: %s", t, exc)
             result.stop_reason = "solver_failure"
+            break
+        except NonFiniteError as exc:
+            log.warning("step to t=%.6g failed: %s", t, exc)
+            result.stop_reason = "non_finite"
             break
         if not report.converged:
             log.warning(

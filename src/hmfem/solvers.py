@@ -12,7 +12,14 @@ and the single-solve semilinear scheme with coefficients frozen at time t.
 
 All methods stop when the relative update of U falls below ``cfg.tol`` or
 after ``cfg.k_max`` inner iterations; hitting k_max flags the report as
-non-converged but still returns the last iterate.
+non-converged but still returns the last iterate.  A non-finite iterate or
+update raises ``NonFiniteError`` instead of being accepted.
+
+The inner systems of newton, chord and modified share one LU per run: that
+of the state-free step matrix [[-tau R, M], [K, -M]].  Each method forms its
+own matrix as often as its Jacobian changes (newton and modified every
+iteration, chord once per step) and solves it by defect correction against
+that LU, falling back to a fresh LU when the correction stalls.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import FemOperators, assemble_B, assemble_S
+from .errors import NonFiniteError, SingularMatrixError
 from .sparse import (
     EPS_FLOOR,
     CsrMatrix,
@@ -73,6 +81,8 @@ class StepReport:
     residual_norm: float
     wall_time: float
     converged: bool
+    n_factor: int = 0  # fresh LU factorizations built inside the step
+    n_linear_iters: int = 0  # defect corrections over all its linear solves
 
 
 def rel_err(u_new: np.ndarray, u_old: np.ndarray) -> float:
@@ -101,15 +111,32 @@ def jacobian(ops: FemOperators, state: State, tau: float) -> CsrMatrix:
     return CsrMatrix.from_scipy(_block_system(ops, tau).matrix(S_U.values, B_W.values))
 
 
+@dataclass
+class _Work:
+    """Linear-algebra work of one step: fresh LUs and defect corrections."""
+
+    n_factor: int = 0
+    n_linear_iters: int = 0
+
+    def count(self, lu: SparseLu) -> None:
+        self.n_linear_iters += lu.corrections
+
+
 class _BlockSystem:
-    """The 2N x 2N step matrix with its fixed pattern precomputed.
+    """The 2N x 2N step matrix, its fixed pattern and the run's one LU.
 
     All four blocks live on the grid's shared operator pattern, so one
     symbolic layout serves every iteration of every method; an iteration
-    only refills values and refactors.  Blocks K and -M are constant, the
-    (1,1) block defaults to -tau R (modified Newton) and is overwritten
-    with tau(B - R) when a B value array is supplied.  ``jacobian()`` is
-    built here too, so this is the one place that knows the block layout.
+    only refills values.  Blocks K and -M are constant, the (1,1) block
+    defaults to -tau R (modified Newton) and is overwritten with tau(B - R)
+    when a B value array is supplied.  ``jacobian()`` is built here too, so
+    this is the one place that knows the block layout.
+
+    The state enters the matrix only through tau S and tau B, which are
+    small against M and R on the presets, so the LU of the state-free
+    matrix (S = B = 0) is built once and ``solve`` corrects every inner
+    system against it.  When the correction stalls, as O(1) data makes tau S
+    large, ``solve`` falls back to a fresh LU of the system itself.
     """
 
     def __init__(self, ops: FemOperators, tau: float):
@@ -139,6 +166,7 @@ class _BlockSystem:
         template[self._idx[2]] = ops.K.values
         template[self._idx[3]] = -self._M_vals
         self._template = template
+        self._base: SparseLu | None = None
 
     def matrix(
         self, S_vals: np.ndarray, B_vals: np.ndarray | None = None
@@ -149,8 +177,21 @@ class _BlockSystem:
         data[self._idx[1]] = self._M_vals + self._tau * S_vals
         return sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
 
-    def factor(self, S_vals: np.ndarray, B_vals: np.ndarray | None = None) -> SparseLu:
-        return SparseLu(self.matrix(S_vals, B_vals))
+    def solve(self, A: sp.csc_matrix, b: np.ndarray, work: _Work) -> np.ndarray:
+        """Solve A x = b against the base LU, or a fresh LU of A if that stalls."""
+        if self._base is None:
+            self._base = SparseLu(self.matrix(np.zeros_like(self._M_vals)))
+            work.n_factor += 1
+        try:
+            x = self._base.solve(b, A)
+            work.count(self._base)
+        except SingularMatrixError:
+            work.count(self._base)
+            lu = SparseLu(A)
+            work.n_factor += 1
+            x = lu.solve(b)
+            work.count(lu)
+        return x
 
 
 def _block_system(ops: FemOperators, tau: float) -> _BlockSystem:
@@ -160,12 +201,20 @@ def _block_system(ops: FemOperators, tau: float) -> _BlockSystem:
     return ops.cache[key]
 
 
+def _checked_rel_err(sol: np.ndarray, U: np.ndarray) -> float:
+    """rel_err of the new U against U; a non-finite iterate is a failure."""
+    err = rel_err(sol[: len(U)], U)
+    if not (math.isfinite(err) and np.isfinite(sol).all()):
+        raise NonFiniteError(f"non-finite iterate (rel_err {err})")
+    return err
+
+
 def _final_residual_norm(ops, state, Z, tau) -> float:
     S_new = assemble_S(ops.grid, state.U)
     return float(np.linalg.norm(residual(ops, S_new, state, Z, tau)))
 
 
-def _report(ops, state, Z, cfg, k, err, t0) -> StepReport:
+def _report(ops, state, Z, cfg, k, err, t0, work, converged=None) -> StepReport:
     # Stop the clock before the residual audit: wall_time measures the
     # algorithmic work of the method, not the instrumentation.
     wall = time.perf_counter() - t0
@@ -174,7 +223,9 @@ def _report(ops, state, Z, cfg, k, err, t0) -> StepReport:
         final_rel_err=err,
         residual_norm=_final_residual_norm(ops, state, Z, cfg.tau),
         wall_time=wall,
-        converged=err <= cfg.tol,
+        converged=err <= cfg.tol if converged is None else converged,
+        n_factor=work.n_factor,
+        n_linear_iters=work.n_linear_iters,
     )
 
 
@@ -184,6 +235,7 @@ def step_newton(ops: FemOperators, state_t: State, cfg: SolverConfig):
     tau = cfg.tau
     N = ops.grid.N
     ws = _block_system(ops, tau)
+    work = _Work()
     Z = matvec(ops.M, state_t.W)
     zeros = np.zeros(N)
     U, W = state_t.U, state_t.W
@@ -192,15 +244,14 @@ def step_newton(ops: FemOperators, state_t: State, cfg: SolverConfig):
     while err > cfg.tol and k < cfg.k_max:
         S_k = assemble_S(ops.grid, U)
         B_k = assemble_B(ops.grid, W)
-        lu = ws.factor(S_k.values, B_k.values)
+        A = ws.matrix(S_k.values, B_k.values)
         rhs = np.concatenate([tau * matvec(S_k, W) + Z, zeros])
-        sol = lu.solve(rhs)
-        U_new, W_new = sol[:N], sol[N:]
-        err = rel_err(U_new, U)
-        U, W = U_new, W_new
+        sol = ws.solve(A, rhs, work)
+        err = _checked_rel_err(sol, U)
+        U, W = sol[:N], sol[N:]
         k += 1
     state = State(U, W)
-    return state, _report(ops, state, Z, cfg, k, err, t0)
+    return state, _report(ops, state, Z, cfg, k, err, t0, work)
 
 
 def step_chord(ops: FemOperators, state_t: State, cfg: SolverConfig):
@@ -209,12 +260,13 @@ def step_chord(ops: FemOperators, state_t: State, cfg: SolverConfig):
     tau = cfg.tau
     N = ops.grid.N
     ws = _block_system(ops, tau)
+    work = _Work()
     Z = matvec(ops.M, state_t.W)
     zeros = np.zeros(N)
     U0, W0 = state_t.U, state_t.W
     S_0 = assemble_S(ops.grid, U0)
     B_0 = assemble_B(ops.grid, W0)
-    lu = ws.factor(S_0.values, B_0.values)
+    A = ws.matrix(S_0.values, B_0.values)
     U, W = U0, W0
     err = math.inf
     k = 0
@@ -226,13 +278,12 @@ def step_chord(ops: FemOperators, state_t: State, cfg: SolverConfig):
         else:
             S_k = assemble_S(ops.grid, U)
             g = tau * matvec(S_k, W0 - W) + tau * matvec(S_0, W) + Z
-        sol = lu.solve(np.concatenate([g, zeros]))
-        U_new, W_new = sol[:N], sol[N:]
-        err = rel_err(U_new, U)
-        U, W = U_new, W_new
+        sol = ws.solve(A, np.concatenate([g, zeros]), work)
+        err = _checked_rel_err(sol, U)
+        U, W = sol[:N], sol[N:]
         k += 1
     state = State(U, W)
-    return state, _report(ops, state, Z, cfg, k, err, t0)
+    return state, _report(ops, state, Z, cfg, k, err, t0, work)
 
 
 def step_modified(ops: FemOperators, state_t: State, cfg: SolverConfig):
@@ -245,6 +296,7 @@ def step_modified(ops: FemOperators, state_t: State, cfg: SolverConfig):
     tau = cfg.tau
     N = ops.grid.N
     ws = _block_system(ops, tau)
+    work = _Work()
     Z = matvec(ops.M, state_t.W)
     rhs = np.concatenate([Z, np.zeros(N)])
     U, W = state_t.U, state_t.W
@@ -252,14 +304,12 @@ def step_modified(ops: FemOperators, state_t: State, cfg: SolverConfig):
     k = 0
     while err > cfg.tol and k < cfg.k_max:
         S_k = assemble_S(ops.grid, U)
-        lu = ws.factor(S_k.values)
-        sol = lu.solve(rhs)
-        U_new, W_new = sol[:N], sol[N:]
-        err = rel_err(U_new, U)
-        U, W = U_new, W_new
+        sol = ws.solve(ws.matrix(S_k.values), rhs, work)
+        err = _checked_rel_err(sol, U)
+        U, W = sol[:N], sol[N:]
         k += 1
     state = State(U, W)
-    return state, _report(ops, state, Z, cfg, k, err, t0)
+    return state, _report(ops, state, Z, cfg, k, err, t0, work)
 
 
 def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
@@ -271,22 +321,21 @@ def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
     """
     t0 = time.perf_counter()
     tau = cfg.tau
+    work = _Work()
     Z = matvec(ops.M, state_t.W)
     S_t = assemble_S(ops.grid, state_t.U)
     if "lu_K" not in ops.cache:
         ops.cache["lu_K"] = LuFactorization(ops.K)
-    W_new = LuFactorization(ops.M + tau * S_t).solve(Z + tau * matvec(ops.R, state_t.U))
+        work.n_factor += 1
+    lu_W = LuFactorization(ops.M + tau * S_t)
+    work.n_factor += 1
+    W_new = lu_W.solve(Z + tau * matvec(ops.R, state_t.U))
+    work.count(lu_W)
     U_new = ops.cache["lu_K"].solve(matvec(ops.M, W_new))
+    work.count(ops.cache["lu_K"])
+    err = _checked_rel_err(np.concatenate([U_new, W_new]), state_t.U)
     state = State(U_new, W_new)
-    wall = time.perf_counter() - t0
-    report = StepReport(
-        iterations=1,
-        final_rel_err=rel_err(U_new, state_t.U),
-        residual_norm=_final_residual_norm(ops, state, Z, tau),
-        wall_time=wall,
-        converged=True,
-    )
-    return state, report
+    return state, _report(ops, state, Z, cfg, 1, err, t0, work, converged=True)
 
 
 STEPPERS = {

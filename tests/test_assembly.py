@@ -16,7 +16,20 @@ from hmfem import (
     matvec,
     preset,
 )
+from hmfem.assembly import pattern_csr
 from hmfem.oracle import dense_assemble_all
+
+
+def assemble_S_loop(grid, U):
+    """Per-element reference for the array-built assemble_S."""
+    nel = len(grid.tri_area)
+    vals = np.empty((nel, 3, 3))
+    third = grid.tri_area / 3.0
+    for e in range(nel):
+        g = grid.tri_grads[e]
+        ux, uy = U[grid.tri_dofs[e]] @ g  # grad of u_N, constant on the element
+        vals[e] = third[e] * (ux * g[:, 1] - uy * g[:, 0])
+    return pattern_csr(grid, vals.reshape(-1))
 
 
 def test_mass_row_sums_and_total():
@@ -127,6 +140,17 @@ def test_S_linearity(a, b):
     lhs = assemble_S(g, a * U + b * V).to_dense()
     rhs = a * assemble_S(g, U).to_dense() + b * assemble_S(g, V).to_dense()
     assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_S_matches_element_loop(rng, n):
+    g = build_grid(np.pi, np.pi, n)
+    U = rng.standard_normal(g.N)
+    ref = assemble_S_loop(g, U).values
+    fast = assemble_S(g, U).values
+    assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
+    W = rng.standard_normal(g.N)
+    assert np.array_equal(assemble_B(g, W).values, -assemble_S(g, W).values)
 
 
 def test_S_shape_error():

@@ -160,19 +160,20 @@ def test_main_amplitude_cap_exits_zero(tmp_path):
 
 def test_main_solver_failure_exit_code(tmp_path, monkeypatch):
     import hmfem.cli as cli
-    from hmfem import SingularMatrixError
     from hmfem.integrate import RunResult
 
-    def fake_run(*args, **kwargs):
-        return RunResult(
-            times=[0.0],
-            states=[State(np.zeros(16), np.zeros(16))],
-            state_times=[0.0],
-            reports=[],
-            diagnostics=[],
-            stop_reason="solver_failure",
-        )
+    for reason in ("solver_failure", "non_finite"):
 
-    monkeypatch.setattr(cli, "run", fake_run)
-    code = main(["--test", "1", "--n", "5", "--T", "0.2", "--out", str(tmp_path / "x")])
-    assert code == 3
+        def fake_run(*args, **kwargs):
+            return RunResult(
+                times=[0.0],
+                states=[State(np.zeros(16), np.zeros(16))],
+                state_times=[0.0],
+                reports=[],
+                diagnostics=[],
+                stop_reason=reason,
+            )
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        argv = ["--test", "1", "--n", "5", "--T", "0.2", "--out", str(tmp_path / reason)]
+        assert main(argv) == 3

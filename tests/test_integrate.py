@@ -105,6 +105,34 @@ def test_solver_failure_returns_partial_results(monkeypatch):
     assert len(res.times) == 3
 
 
+@pytest.mark.parametrize("method", ["newton", "chord", "modified"])
+def test_one_block_lu_per_run(method):
+    res = run(preset(2), SolverConfig(tau=0.1, method=method), T=1.0, n=17)
+    assert res.total_factorizations() == 1
+    assert {r.iterations for r in res.reports} == {2}
+
+
+@pytest.mark.parametrize("method", ["newton", "chord", "modified"])
+def test_non_finite_iterate_stops_run(monkeypatch, method):
+    from hmfem.solvers import _BlockSystem
+
+    original = _BlockSystem.solve
+    calls = {"n": 0}
+
+    def nan_after_first_step(self, A, b, work):
+        calls["n"] += 1
+        x = original(self, A, b, work)
+        return x if calls["n"] <= 2 else np.full_like(x, np.nan)
+
+    monkeypatch.setattr(_BlockSystem, "solve", nan_after_first_step)
+    res = run(preset(2), SolverConfig(tau=0.1, method=method), T=1.0, n=9)
+    assert res.stop_reason == "non_finite"
+    assert len(res.reports) == 1  # test 2 takes 2 inner solves per step
+    assert len(res.times) == len(res.diagnostics) == 2
+    assert all(np.isfinite(s.U).all() and np.isfinite(s.W).all() for s in res.states)
+    assert all(np.isfinite(d.u_max) for d in res.diagnostics)
+
+
 def test_apriori_zero_data():
     zero = ProblemSpec(
         "zero", np.pi, np.pi,

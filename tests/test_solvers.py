@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hmfem import (
+    NonFiniteError,
     SolverConfig,
     State,
     assemble_B,
@@ -22,8 +23,10 @@ from hmfem import (
     step_newton,
     step_semilinear,
 )
+from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
-from hmfem.solvers import tau_bound_report
+from hmfem.solvers import _BlockSystem, tau_bound_report
+from hmfem.sparse import SparseLu
 
 
 def initial_state(spec, n):
@@ -184,6 +187,61 @@ def test_elliptic_constraint_after_step(stepper):
         mw = matvec(ops.M, state.W)
         rel = np.linalg.norm(matvec(ops.K, state.U) - mw) / np.linalg.norm(mw)
         assert rel <= 1e-9
+
+
+def large_data_spec(amplitude):
+    """Preset 2's domain and drift with O(1) data: tau S is no longer small."""
+    base = preset(2)
+
+    def u0(x, y):
+        return amplitude * np.sin(2 * x) * np.cos(3 * y)
+
+    return ProblemSpec("large", base.Lx, base.Ly, u0, base.grad_p, base.p_norm_1inf)
+
+
+@pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
+def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
+    ops, s0 = initial_state(large_data_spec(0.5), 17)
+    solves = []
+    original = _BlockSystem.solve
+
+    def spy(self, A, b, work):
+        x = original(self, A, b, work)
+        solves.append((A, b, x))
+        return x
+
+    monkeypatch.setattr(_BlockSystem, "solve", spy)
+    _, rep = stepper(ops, s0, SolverConfig(tau=0.1))
+    # The state-free LU, then a fresh LU for every inner solve.
+    assert rep.n_factor == rep.iterations + 1
+    for A, b, x in solves:
+        ref = SparseLu(A).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_large_data_newton_matches_dense_oracle():
+    spec = large_data_spec(1.0)
+    ops, s0 = initial_state(spec, 9)
+    cfg = SolverConfig(tau=0.1, method="newton")
+    fast, rep = step_newton(ops, s0, cfg)
+    assert rep.n_factor == rep.iterations + 1
+    dense, k = dense_newton_step(ops.grid, spec, s0, cfg)
+    assert k == rep.iterations
+    for a, b in ((fast.U, dense.U), (fast.W, dense.W)):
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_semilinear_non_finite_iterate_raises(monkeypatch):
+    import hmfem.solvers as sv
+
+    class NanLu(sv.LuFactorization):
+        def solve(self, b, A=None):
+            return np.full_like(b, np.nan)
+
+    ops, s0 = initial_state(preset(2), 5)
+    monkeypatch.setattr(sv, "LuFactorization", NanLu)
+    with pytest.raises(NonFiniteError):
+        step_semilinear(ops, s0, SolverConfig(tau=0.1))
 
 
 def test_kmax_flags_nonconvergence():

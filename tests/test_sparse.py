@@ -8,6 +8,7 @@ from hmfem import (
     ShapeError,
     SingularMatrixError,
     assemble_mass,
+    assemble_stiffness,
     block2x2,
     build_grid,
     from_triplets,
@@ -15,6 +16,7 @@ from hmfem import (
     matvec,
     solve,
 )
+from hmfem.sparse import SparseLu
 
 
 def dense_of(triplets, shape):
@@ -164,12 +166,34 @@ def test_solve_identity_and_diagonal():
 
 def test_solve_residual_contract_on_spd(rng):
     g = build_grid(1.0, 1.0, 9)
-    from hmfem import assemble_stiffness
-
     K = assemble_mass(g) + assemble_stiffness(g)
     b = rng.standard_normal(g.N)
     x = solve(K, b)
     assert np.linalg.norm(matvec(K, x) - b) / np.linalg.norm(b) <= 1e-10
+
+
+def test_solve_non_finite_rhs_raises():
+    g = build_grid(1.0, 1.0, 5)
+    b = np.ones(g.N)
+    b[3] = np.nan
+    with pytest.raises(SingularMatrixError):
+        solve(assemble_mass(g), b)
+
+
+def test_defect_correction_against_another_matrix(rng):
+    g = build_grid(1.0, 1.0, 9)
+    M = assemble_mass(g)
+    lu = SparseLu(M._sp.tocsc())
+    b = rng.standard_normal(g.N)
+    # A nearby matrix: corrections reach round-off, as a direct solve does.
+    near = M + 1e-4 * assemble_stiffness(g)
+    x = lu.solve(b, near._sp)
+    assert lu.corrections >= 2
+    assert np.linalg.norm(matvec(near, x) - b) <= 1e-14 * np.linalg.norm(b)
+    assert np.allclose(x, solve(near, b), rtol=0, atol=1e-12 * np.abs(x).max())
+    # A far one: the correction diverges and the contract check refuses it.
+    with pytest.raises(SingularMatrixError):
+        lu.solve(b, (M + 1e3 * assemble_stiffness(g))._sp)
 
 
 def test_solve_singular():
