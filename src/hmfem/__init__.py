@@ -54,7 +54,6 @@ from .solvers import (
 from .sparse import (
     CsrMatrix,
     block2x2,
-    factorize,
     from_triplets,
     m_norm,
     matvec,

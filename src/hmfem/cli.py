@@ -83,6 +83,8 @@ def parse_args(argv) -> RunConfig:
         parser.error(f"--tau must be positive, got {ns.tau}")
     if ns.T < 0:
         parser.error(f"--T must be nonnegative, got {ns.T}")
+    if not math.isfinite(ns.T / ns.tau):
+        parser.error(f"--T / --tau must be a finite step count, got {ns.T}/{ns.tau}")
     if ns.tol <= 0:
         parser.error(f"--tol must be positive, got {ns.tol}")
     if ns.kmax < 1:
@@ -169,6 +171,7 @@ def main(argv=None) -> int:
         f"total_iterations={result.total_iterations()}"
     )
     if result.stop_reason in ("solver_failure", "non_finite"):
+        print(f"hmfem: {result.stop_reason}: {result.failure}", file=sys.stderr)
         return FAILURE_EXIT
     return 0
 

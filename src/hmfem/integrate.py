@@ -26,7 +26,7 @@ from .solvers import (
     step,
     tau_bound_report,
 )
-from .sparse import EPS_FLOOR, LuFactorization, matvec
+from .sparse import EPS_FLOOR, SparseLu, matvec
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +50,8 @@ class RunResult:
     ``times`` and ``diagnostics`` cover t = 0 and every accepted step;
     ``reports`` has one entry per step; ``states`` holds the snapshots taken
     at ``state_times`` (t = 0, every ``snapshot_every`` steps, and the final
-    state).
+    state).  ``failure`` keeps the message of the error that ended a run
+    with ``solver_failure`` or ``non_finite``, and is None otherwise.
     """
 
     times: list[float]
@@ -60,6 +61,7 @@ class RunResult:
     diagnostics: list[Diagnostics]
     stop_reason: str  # reached_T | amplitude_cap | solver_failure | non_finite
     tau_report: dict = field(default_factory=dict)
+    failure: str | None = None
 
     @property
     def final_state(self) -> State:
@@ -80,7 +82,7 @@ class RunResult:
 
 def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
     """Initial W from the elliptic constraint: solve M W0 = K U0."""
-    return LuFactorization(ops.M).solve(matvec(ops.K, U0))
+    return SparseLu(ops.M).solve(matvec(ops.K, U0))
 
 
 def _diagnose(ops: FemOperators, state: State) -> Diagnostics:
@@ -113,6 +115,8 @@ def run(
     """
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"end time must be nonnegative and finite, got {T}")
+    if not math.isfinite(T / cfg.tau):
+        raise ValueError(f"step count T/tau must be finite, got {T}/{cfg.tau}")
     if not math.isfinite(cap):
         raise ValueError(f"amplitude cap must be finite, got {cap}")
     if snapshot_every < 1:
@@ -141,10 +145,12 @@ def run(
         except SingularMatrixError as exc:
             log.warning("linear solve failed at t=%.6g: %s", t, exc)
             result.stop_reason = "solver_failure"
+            result.failure = str(exc)
             break
         except NonFiniteError as exc:
             log.warning("step to t=%.6g failed: %s", t, exc)
             result.stop_reason = "non_finite"
+            result.failure = str(exc)
             break
         if not report.converged:
             log.warning(

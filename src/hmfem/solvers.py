@@ -15,11 +15,11 @@ after ``cfg.k_max`` inner iterations; hitting k_max flags the report as
 non-converged but still returns the last iterate.  A non-finite iterate or
 update raises ``NonFiniteError`` instead of being accepted.
 
-The inner systems of newton, chord and modified share one LU per run: that
-of the state-free step matrix [[-tau R, M], [K, -M]].  Each method forms its
-own matrix as often as its Jacobian changes (newton and modified every
-iteration, chord once per step) and solves it by defect correction against
-that LU, falling back to a fresh LU when the correction stalls.
+Newton, chord and modified are one loop, ``_newton_type_step``, that
+differs only in the matrix it forms: with or without B, every iteration or
+once per step.  They share one LU per run, that of the state-free step
+matrix [[-tau R, M], [K, -M]], and solve each inner system by defect
+correction against it, falling back to a fresh LU when that stalls.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import NonFiniteError, SingularMatrixError
 from .sparse import (
     EPS_FLOOR,
     CsrMatrix,
-    LuFactorization,
     SparseLu,
     m_norm,
     matvec,
@@ -229,8 +228,17 @@ def _report(ops, state, Z, cfg, k, err, t0, work, converged=None) -> StepReport:
     )
 
 
-def step_newton(ops: FemOperators, state_t: State, cfg: SolverConfig):
-    """Full Newton step: Jacobian and right-hand side rebuilt every iteration."""
+def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
+    """The inner loop shared by newton, chord and modified.
+
+    Each iteration assembles S(U) and solves the block system
+    [[-tau R (+ tau B(W)), M + tau S], [K, -M]] x = [g; 0].  The matrix is
+    formed at the first iterate, and again at every iterate when
+    ``refresh`` is set; the B(W) block enters only ``with_b``.  Without B
+    the right-hand side is fixed, g = Z.  With B, g = tau S(U) W + Z where
+    the matrix was formed at this iterate; otherwise (chord) the frozen
+    S(U0) is corrected, g = tau S(U)(W0 - W) + tau S(U0) W + Z.
+    """
     t0 = time.perf_counter()
     tau = cfg.tau
     N = ops.grid.N
@@ -238,14 +246,23 @@ def step_newton(ops: FemOperators, state_t: State, cfg: SolverConfig):
     work = _Work()
     Z = matvec(ops.M, state_t.W)
     zeros = np.zeros(N)
+    rhs = None if with_b else np.concatenate([Z, zeros])
     U, W = state_t.U, state_t.W
     err = math.inf
     k = 0
     while err > cfg.tol and k < cfg.k_max:
-        S_k = assemble_S(ops.grid, U)
-        B_k = assemble_B(ops.grid, W)
-        A = ws.matrix(S_k.values, B_k.values)
-        rhs = np.concatenate([tau * matvec(S_k, W) + Z, zeros])
+        S = assemble_S(ops.grid, U)
+        if k == 0 or refresh:
+            S_A = S
+            B_vals = assemble_B(ops.grid, W).values if with_b else None
+            A = ws.matrix(S.values, B_vals)
+        if with_b:
+            if S is S_A:
+                g = tau * matvec(S, W) + Z
+            else:
+                # Keep this grouping: a regrouped sum rounds differently.
+                g = tau * matvec(S, state_t.W - W) + tau * matvec(S_A, W) + Z
+            rhs = np.concatenate([g, zeros])
         sol = ws.solve(A, rhs, work)
         err = _checked_rel_err(sol, U)
         U, W = sol[:N], sol[N:]
@@ -254,36 +271,14 @@ def step_newton(ops: FemOperators, state_t: State, cfg: SolverConfig):
     return state, _report(ops, state, Z, cfg, k, err, t0, work)
 
 
+def step_newton(ops: FemOperators, state_t: State, cfg: SolverConfig):
+    """Full Newton step: Jacobian and right-hand side rebuilt every iteration."""
+    return _newton_type_step(ops, state_t, cfg, with_b=True, refresh=True)
+
+
 def step_chord(ops: FemOperators, state_t: State, cfg: SolverConfig):
     """Chord step: Jacobian frozen at (U(t), W(t)), right-hand side refreshed."""
-    t0 = time.perf_counter()
-    tau = cfg.tau
-    N = ops.grid.N
-    ws = _block_system(ops, tau)
-    work = _Work()
-    Z = matvec(ops.M, state_t.W)
-    zeros = np.zeros(N)
-    U0, W0 = state_t.U, state_t.W
-    S_0 = assemble_S(ops.grid, U0)
-    B_0 = assemble_B(ops.grid, W0)
-    A = ws.matrix(S_0.values, B_0.values)
-    U, W = U0, W0
-    err = math.inf
-    k = 0
-    while err > cfg.tol and k < cfg.k_max:
-        if k == 0:
-            # W = W0 here, so S(U)(W0 - W) vanishes and the rhs reduces to
-            # Newton's first right-hand side.
-            g = tau * matvec(S_0, W0) + Z
-        else:
-            S_k = assemble_S(ops.grid, U)
-            g = tau * matvec(S_k, W0 - W) + tau * matvec(S_0, W) + Z
-        sol = ws.solve(A, np.concatenate([g, zeros]), work)
-        err = _checked_rel_err(sol, U)
-        U, W = sol[:N], sol[N:]
-        k += 1
-    state = State(U, W)
-    return state, _report(ops, state, Z, cfg, k, err, t0, work)
+    return _newton_type_step(ops, state_t, cfg, with_b=True, refresh=False)
 
 
 def step_modified(ops: FemOperators, state_t: State, cfg: SolverConfig):
@@ -292,24 +287,7 @@ def step_modified(ops: FemOperators, state_t: State, cfg: SolverConfig):
     Each iteration solves [[-tau R, M + tau S(U_k)], [K, -M]] x = [Z; 0],
     i.e. the fixed-point map of the timestep system; B is never assembled.
     """
-    t0 = time.perf_counter()
-    tau = cfg.tau
-    N = ops.grid.N
-    ws = _block_system(ops, tau)
-    work = _Work()
-    Z = matvec(ops.M, state_t.W)
-    rhs = np.concatenate([Z, np.zeros(N)])
-    U, W = state_t.U, state_t.W
-    err = math.inf
-    k = 0
-    while err > cfg.tol and k < cfg.k_max:
-        S_k = assemble_S(ops.grid, U)
-        sol = ws.solve(ws.matrix(S_k.values), rhs, work)
-        err = _checked_rel_err(sol, U)
-        U, W = sol[:N], sol[N:]
-        k += 1
-    state = State(U, W)
-    return state, _report(ops, state, Z, cfg, k, err, t0, work)
+    return _newton_type_step(ops, state_t, cfg, with_b=False, refresh=True)
 
 
 def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
@@ -325,9 +303,9 @@ def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
     Z = matvec(ops.M, state_t.W)
     S_t = assemble_S(ops.grid, state_t.U)
     if "lu_K" not in ops.cache:
-        ops.cache["lu_K"] = LuFactorization(ops.K)
+        ops.cache["lu_K"] = SparseLu(ops.K)
         work.n_factor += 1
-    lu_W = LuFactorization(ops.M + tau * S_t)
+    lu_W = SparseLu(ops.M + tau * S_t)
     work.n_factor += 1
     W_new = lu_W.solve(Z + tau * matvec(ops.R, state_t.U))
     work.count(lu_W)

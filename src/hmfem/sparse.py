@@ -132,7 +132,7 @@ def block2x2(A11: CsrMatrix, A12: CsrMatrix, A21: CsrMatrix, A22: CsrMatrix) -> 
 
 
 class SparseLu:
-    """Reusable LU factorization of a square scipy sparse matrix.
+    """Reusable LU factorization of a square CsrMatrix or scipy sparse matrix.
 
     ``solve(b, A)`` solves ``A x = b`` by defect correction against this
     factorization, ``x += LU^-1 (b - A x)``; ``A`` defaults to the factored
@@ -145,12 +145,16 @@ class SparseLu:
     number of corrections the last solve made.
     """
 
-    def __init__(self, A_csc):
-        self._A = A_csc
-        self.n = A_csc.shape[0]
+    def __init__(self, A):
+        if isinstance(A, CsrMatrix):
+            if A.nrows != A.ncols:
+                raise ShapeError("solve needs a square matrix")
+            A = A._sp.tocsc()
+        self._A = A
+        self.n = A.shape[0]
         self.corrections = 0
         try:
-            self._lu = spla.splu(A_csc, permc_spec=_PERMC_SPEC)
+            self._lu = spla.splu(A, permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:  # scipy reports exact singularity this way
             raise SingularMatrixError(f"singular matrix: {exc}", pivot=0.0) from exc
         d = np.abs(self._lu.U.diagonal())
@@ -191,22 +195,9 @@ class SparseLu:
         return x
 
 
-class LuFactorization(SparseLu):
-    """LU factorization of a CsrMatrix."""
-
-    def __init__(self, A: CsrMatrix):
-        if A.nrows != A.ncols:
-            raise ShapeError("solve needs a square matrix")
-        super().__init__(A._sp.tocsc())
-
-
-def factorize(A: CsrMatrix) -> LuFactorization:
-    return LuFactorization(A)
-
-
 def solve(A: CsrMatrix, b: np.ndarray) -> np.ndarray:
     """Solve A x = b; the result satisfies ||Ax-b|| / max(||b||, eps) <= 1e-10."""
-    return LuFactorization(A).solve(b)
+    return SparseLu(A).solve(b)
 
 
 def m_norm(M: CsrMatrix, v: np.ndarray) -> float:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmfem import SolverConfig, State, build_grid, dof_of_node, preset, run
 from hmfem.cli import emit_convergence_log, emit_snapshot, main, parse_args
@@ -33,12 +37,38 @@ def test_parse_no_args_defaults_to_test_1():
         ["--frobnicate", "--out", "d"],
         ["--tau", "abc", "--out", "d"],
         ["--test", "1"],  # missing --out
+        ["--T", "1e308", "--out", "d"],  # T/tau overflows at the default tau
     ],
 )
 def test_usage_errors_exit_nonzero(argv):
     with pytest.raises(SystemExit) as exc:
         parse_args(argv)
-    assert exc.value.code != 0
+    assert exc.value.code == 2
+
+
+#: Any float: st.floats() draws nan, +-inf, zeros, negatives and subnormals.
+ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308])
+
+
+@given(tau=ANY_FLOAT, T=ANY_FLOAT, tol=ANY_FLOAT, cap=ANY_FLOAT)
+@settings(max_examples=200, deadline=None)
+def test_numeric_flags_parse_finite_or_exit_2(tau, T, tol, cap):
+    argv = [f"--tau={tau!r}", f"--T={T!r}", f"--tol={tol!r}", f"--cap={cap!r}"]
+    valid = (
+        all(math.isfinite(v) for v in (tau, T, tol, cap))
+        and tau > 0
+        and T >= 0
+        and tol > 0
+        and math.isfinite(T / tau)
+    )
+    if not valid:
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv + ["--out", "d"])
+        assert exc.value.code == 2
+        return
+    cfg = parse_args(argv + ["--out", "d"])
+    assert (cfg.tau, cfg.T, cfg.tol, cfg.cap) == (tau, T, tol, cap)
+    assert math.isfinite(cfg.T / cfg.tau)
 
 
 @pytest.mark.parametrize("flag", ["--tau", "--T", "--tol", "--cap"])
@@ -158,7 +188,7 @@ def test_main_amplitude_cap_exits_zero(tmp_path):
     assert "stop_reason=amplitude_cap" in conv
 
 
-def test_main_solver_failure_exit_code(tmp_path, monkeypatch):
+def test_main_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     import hmfem.cli as cli
     from hmfem.integrate import RunResult
 
@@ -172,8 +202,10 @@ def test_main_solver_failure_exit_code(tmp_path, monkeypatch):
                 reports=[],
                 diagnostics=[],
                 stop_reason=reason,
+                failure="synthetic message",
             )
 
         monkeypatch.setattr(cli, "run", fake_run)
         argv = ["--test", "1", "--n", "5", "--T", "0.2", "--out", str(tmp_path / reason)]
         assert main(argv) == 3
+        assert f"{reason}: synthetic message" in capsys.readouterr().err

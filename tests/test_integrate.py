@@ -51,6 +51,7 @@ def test_run_T_zero():
         {"T": float("nan")},
         {"T": 1.0, "cap": float("nan")},
         {"T": 1.0, "cap": float("inf")},
+        {"T": 1e308},  # finite, but T/tau overflows at tau = 0.1
     ],
 )
 def test_run_rejects_non_finite(kwargs):
@@ -81,6 +82,7 @@ def test_run_deterministic():
 def test_amplitude_cap_stops_run():
     res = run(preset(1), SolverConfig(tau=0.1), T=5.0, n=9, cap=1e-9)
     assert res.stop_reason == "amplitude_cap"
+    assert res.failure is None
     assert len(res.reports) == 1  # checked after the first completed step
     assert res.diagnostics[-1].u_max >= 1e-9
     assert res.state_times[-1] == res.times[-1]
@@ -101,6 +103,7 @@ def test_solver_failure_returns_partial_results(monkeypatch):
     monkeypatch.setattr(integ, "step", boom)
     res = run(preset(2), SolverConfig(tau=0.1), T=1.0, n=9)
     assert res.stop_reason == "solver_failure"
+    assert "synthetic breakdown" in res.failure
     assert len(res.reports) == 2
     assert len(res.times) == 3
 
@@ -127,6 +130,7 @@ def test_non_finite_iterate_stops_run(monkeypatch, method):
     monkeypatch.setattr(_BlockSystem, "solve", nan_after_first_step)
     res = run(preset(2), SolverConfig(tau=0.1, method=method), T=1.0, n=9)
     assert res.stop_reason == "non_finite"
+    assert "non-finite" in res.failure
     assert len(res.reports) == 1  # test 2 takes 2 inner solves per step
     assert len(res.times) == len(res.diagnostics) == 2
     assert all(np.isfinite(s.U).all() and np.isfinite(s.W).all() for s in res.states)

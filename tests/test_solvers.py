@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmfem import (
     NonFiniteError,
@@ -59,6 +63,21 @@ def test_config_validation():
 def test_config_rejects_non_finite(kwargs):
     with pytest.raises(ValueError, match="finite"):
         SolverConfig(**kwargs)
+
+
+#: Any float: st.floats() draws nan, +-inf, zeros, negatives and subnormals.
+ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308])
+
+
+@given(tau=ANY_FLOAT, tol=ANY_FLOAT)
+@settings(max_examples=200, deadline=None)
+def test_config_accepts_only_finite_positive(tau, tol):
+    if all(math.isfinite(v) and v > 0 for v in (tau, tol)):
+        cfg = SolverConfig(tau=tau, tol=tol)
+        assert (cfg.tau, cfg.tol) == (tau, tol)
+    else:
+        with pytest.raises(ValueError):
+            SolverConfig(tau=tau, tol=tol)
 
 
 def test_residual_zero_after_converged_step():
@@ -149,8 +168,41 @@ def test_chord_first_iteration_equals_newton():
     sn, rn = step_newton(ops, s0, cfg1)
     sc, rc = step_chord(ops, s0, cfg1)
     assert rn.iterations == rc.iterations == 1
-    assert np.allclose(sn.U, sc.U, rtol=0, atol=1e-14 * np.abs(sn.U).max())
-    assert np.allclose(sn.W, sc.W, rtol=0, atol=1e-14 * np.abs(sn.W).max())
+    assert np.array_equal(sn.U, sc.U)
+    assert np.array_equal(sn.W, sc.W)
+
+
+@pytest.mark.parametrize(
+    "stepper, n_S, n_B, n_matrix",
+    [
+        # Per 2-iteration step, the audit's S included.
+        (step_newton, 3, 2, 2),
+        (step_chord, 3, 1, 1),
+        (step_modified, 3, 0, 2),
+        (step_semilinear, 2, 0, 0),
+    ],
+)
+def test_per_step_work_by_method(monkeypatch, stepper, n_S, n_B, n_matrix):
+    import hmfem.solvers as sv
+
+    ops, s0 = initial_state(preset(2), 17)
+    cfg = SolverConfig(tau=0.1)
+    step_modified(ops, s0, cfg)  # builds the run's block LU outside the count
+    calls = {"S": 0, "B": 0, "matrix": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sv, "assemble_S", counted("S", sv.assemble_S))
+    monkeypatch.setattr(sv, "assemble_B", counted("B", sv.assemble_B))
+    monkeypatch.setattr(_BlockSystem, "matrix", counted("matrix", _BlockSystem.matrix))
+    _, rep = stepper(ops, s0, cfg)
+    assert rep.iterations == (1 if stepper is step_semilinear else 2)
+    assert calls == {"S": n_S, "B": n_B, "matrix": n_matrix}
 
 
 def test_modified_tau_small_is_state_independent_map(rng):
@@ -234,12 +286,12 @@ def test_large_data_newton_matches_dense_oracle():
 def test_semilinear_non_finite_iterate_raises(monkeypatch):
     import hmfem.solvers as sv
 
-    class NanLu(sv.LuFactorization):
+    class NanLu(sv.SparseLu):
         def solve(self, b, A=None):
             return np.full_like(b, np.nan)
 
     ops, s0 = initial_state(preset(2), 5)
-    monkeypatch.setattr(sv, "LuFactorization", NanLu)
+    monkeypatch.setattr(sv, "SparseLu", NanLu)
     with pytest.raises(NonFiniteError):
         step_semilinear(ops, s0, SolverConfig(tau=0.1))
 
