@@ -14,11 +14,12 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(RuntimeError):
-    """Factorization broke down; carries the offending pivot magnitude."""
+    """Factorization or solve broke down; carries the pivot and corrections made."""
 
-    def __init__(self, message, pivot=0.0):
+    def __init__(self, message, pivot=0.0, corrections=0):
         super().__init__(message)
         self.pivot = pivot
+        self.corrections = corrections
 
 
 class NotSpdError(ValueError):

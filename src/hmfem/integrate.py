@@ -22,11 +22,12 @@ from .solvers import (
     SolverConfig,
     State,
     StepReport,
+    cached_lu,
     m_norm,
     step,
     tau_bound_report,
 )
-from .sparse import EPS_FLOOR, SparseLu, matvec
+from .sparse import EPS_FLOOR, matvec
 
 log = logging.getLogger(__name__)
 
@@ -81,8 +82,8 @@ class RunResult:
 
 
 def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
-    """Initial W from the elliptic constraint: solve M W0 = K U0."""
-    return SparseLu(ops.M).solve(matvec(ops.K, U0))
+    """Initial W from the elliptic constraint: solve M W0 = K U0 (LU cached)."""
+    return cached_lu(ops, "M").solve(matvec(ops.K, U0))
 
 
 def _diagnose(ops: FemOperators, state: State) -> Diagnostics:
@@ -99,6 +100,18 @@ def _diagnose(ops: FemOperators, state: State) -> Diagnostics:
     )
 
 
+def check_run_inputs(cfg: SolverConfig, T: float, snapshot_every: int, cap: float):
+    """Raise ValueError unless T, T/tau, cap and snapshot_every suit a run."""
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"end time must be finite and nonnegative, got {T}")
+    if not math.isfinite(T / cfg.tau):
+        raise ValueError(f"step count T/tau must be finite, got {T}/{cfg.tau}")
+    if not math.isfinite(cap):
+        raise ValueError(f"amplitude cap must be finite, got {cap}")
+    if snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+
+
 def run(
     problem: ProblemSpec,
     cfg: SolverConfig,
@@ -113,15 +126,7 @@ def run(
     interpolation of u0 and W0 comes from the elliptic solve.  The amplitude
     cap is checked after each completed step.
     """
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"end time must be nonnegative and finite, got {T}")
-    if not math.isfinite(T / cfg.tau):
-        raise ValueError(f"step count T/tau must be finite, got {T}/{cfg.tau}")
-    if not math.isfinite(cap):
-        raise ValueError(f"amplitude cap must be finite, got {cap}")
-    if snapshot_every < 1:
-        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
-
+    check_run_inputs(cfg, T, snapshot_every, cap)
     grid = build_grid(problem.Lx, problem.Ly, n)
     ops = assemble_operators(grid, problem.grad_p)
     U0 = sample_nodes(problem, grid)

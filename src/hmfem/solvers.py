@@ -17,19 +17,20 @@ update raises ``NonFiniteError`` instead of being accepted.
 
 Newton, chord and modified are one loop, ``_newton_type_step``, that
 differs only in the matrix it forms: with or without B, every iteration or
-once per step.  They share one LU per run, that of the state-free step
-matrix [[-tau R, M], [K, -M]], and solve each inner system by defect
-correction against it, falling back to a fresh LU when that stalls.
+once per step.  They correct each inner system against the state-free step
+matrix [[-tau R, M], [K, -M]], solved by block elimination with one LU of
+K - tau R per run and the run's LU of M, which ``init_w0`` and semilinear
+share.  A full 2N x 2N LU is built only as the fallback when that stalls.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import FemOperators, assemble_B, assemble_S
 from .errors import NonFiniteError, SingularMatrixError
@@ -37,6 +38,8 @@ from .sparse import (
     EPS_FLOOR,
     CsrMatrix,
     SparseLu,
+    block2x2,
+    defect_correction,
     m_norm,
     matvec,
 )
@@ -62,9 +65,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.method not in ("newton", "chord", "modified", "semilinear"):
@@ -107,7 +110,7 @@ def jacobian(ops: FemOperators, state: State, tau: float) -> CsrMatrix:
     """Exact Jacobian of F: [[tau (B(W) - R), M + tau S(U)], [K, -M]]."""
     S_U = assemble_S(ops.grid, state.U)
     B_W = assemble_B(ops.grid, state.W)
-    return CsrMatrix.from_scipy(_block_system(ops, tau).matrix(S_U.values, B_W.values))
+    return block2x2(tau * (B_W - ops.R), ops.M + tau * S_U, ops.K, -ops.M)
 
 
 @dataclass
@@ -117,86 +120,88 @@ class _Work:
     n_factor: int = 0
     n_linear_iters: int = 0
 
-    def count(self, lu: SparseLu) -> None:
-        self.n_linear_iters += lu.corrections
-
-
-class _BlockSystem:
-    """The 2N x 2N step matrix, its fixed pattern and the run's one LU.
-
-    All four blocks live on the grid's shared operator pattern, so one
-    symbolic layout serves every iteration of every method; an iteration
-    only refills values.  Blocks K and -M are constant, the (1,1) block
-    defaults to -tau R (modified Newton) and is overwritten with tau(B - R)
-    when a B value array is supplied.  ``jacobian()`` is built here too, so
-    this is the one place that knows the block layout.
-
-    The state enters the matrix only through tau S and tau B, which are
-    small against M and R on the presets, so the LU of the state-free
-    matrix (S = B = 0) is built once and ``solve`` corrects every inner
-    system against it.  When the correction stalls, as O(1) data makes tau S
-    large, ``solve`` falls back to a fresh LU of the system itself.
-    """
-
-    def __init__(self, ops: FemOperators, tau: float):
-        grid = ops.grid
-        N = grid.N
-        P = grid.nnz_pattern
-        marker = np.arange(4 * P, dtype=float)
-
-        def blk(k):
-            return sp.csr_matrix(
-                (marker[k * P : (k + 1) * P], grid.csr_indices, grid.csr_indptr),
-                shape=(N, N),
-            )
-
-        J = sp.bmat([[blk(0), blk(1)], [blk(2), blk(3)]], format="csc")
-        pos = np.empty(4 * P, dtype=np.int64)
-        pos[J.data.astype(np.int64)] = np.arange(4 * P)
-        self._idx = [pos[k * P : (k + 1) * P] for k in range(4)]
-        self._indptr = J.indptr
-        self._indices = J.indices
-        self._shape = J.shape
-        self._tau = tau
-        self._M_vals = ops.M.values
-        self._R_vals = ops.R.values
-        template = np.empty(4 * P)
-        template[self._idx[0]] = -tau * self._R_vals
-        template[self._idx[2]] = ops.K.values
-        template[self._idx[3]] = -self._M_vals
-        self._template = template
-        self._base: SparseLu | None = None
-
-    def matrix(
-        self, S_vals: np.ndarray, B_vals: np.ndarray | None = None
-    ) -> sp.csc_matrix:
-        data = self._template.copy()
-        if B_vals is not None:
-            data[self._idx[0]] = self._tau * (B_vals - self._R_vals)
-        data[self._idx[1]] = self._M_vals + self._tau * S_vals
-        return sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
-
-    def solve(self, A: sp.csc_matrix, b: np.ndarray, work: _Work) -> np.ndarray:
-        """Solve A x = b against the base LU, or a fresh LU of A if that stalls."""
-        if self._base is None:
-            self._base = SparseLu(self.matrix(np.zeros_like(self._M_vals)))
-            work.n_factor += 1
+    def solve(self, b, apply, precond, matrix) -> np.ndarray:
+        """Solve A x = b by correction against precond, or by an LU of matrix()."""
+        bnorm = np.linalg.norm(b)
+        if not math.isfinite(bnorm):
+            raise NonFiniteError(f"non-finite right-hand side (norm {bnorm})")
         try:
-            x = self._base.solve(b, A)
-            work.count(self._base)
-        except SingularMatrixError:
-            work.count(self._base)
-            lu = SparseLu(A)
-            work.n_factor += 1
-            x = lu.solve(b)
-            work.count(lu)
+            x, k = defect_correction(b, apply, precond)
+        except SingularMatrixError as exc:
+            self.n_linear_iters += exc.corrections
+            lu = SparseLu(matrix())
+            self.n_factor += 1
+            x, k = lu.solve(b), lu.corrections
+        self.n_linear_iters += k
         return x
 
 
-def _block_system(ops: FemOperators, tau: float) -> _BlockSystem:
+def cached_lu(ops: FemOperators, name: str, work: _Work | None = None) -> SparseLu:
+    """The run's one LU of ``ops.M`` or ``ops.K``; building it counts in ``work``."""
+    key = "lu_" + name
+    if key not in ops.cache:
+        ops.cache[key] = SparseLu(getattr(ops, name))
+        if work is not None:
+            work.n_factor += 1
+    return ops.cache[key]
+
+
+class _BlockSystem:
+    """The step systems [[C, M + tau S], [K, -M]] x = b of one tau.
+
+    An inner system is its two state-dependent blocks on the grid's shared
+    pattern: C = tau (B(W) - R), or -tau R without B, and M + tau S(U); K and
+    -M are fixed.  tau S and tau B are small against M and R on the presets,
+    so the state-free system [[-tau R, M], [K, -M]] is a near-exact
+    preconditioner, and block elimination solves it: adding its block rows
+    gives (K - tau R) U = r1 + r2, then M W = r1 + tau R U.  ``solve``
+    corrects every inner system against that, with one LU of K - tau R per
+    run and the run's LU of M.  When the correction stalls, as O(1) data
+    makes tau S large, it falls back to an LU of the 2N x 2N system itself.
+    The instance lives in ``ops.cache`` and must not hold ``ops``.
+    """
+
+    def __init__(self, ops: FemOperators, tau: float, lu_M: SparseLu):
+        self._tau = tau
+        self._M, self._K, self._R = ops.M, ops.K, ops.R
+        self._tau_R = tau * ops.R
+        self._neg_tau_R = -self._tau_R
+        self._lu_M = lu_M
+        self._lu_KR: SparseLu | None = None
+
+    def matrix(self, S_vals: np.ndarray, B_vals: np.ndarray | None = None):
+        """The state-dependent blocks (C, M + tau S) of one inner system."""
+        tau, M = self._tau, self._M
+        D = replace(M, values=M.values + tau * S_vals)
+        if B_vals is None:
+            return self._neg_tau_R, D
+        return replace(M, values=tau * (B_vals - self._R.values)), D
+
+    def solve(self, A, b: np.ndarray, work: _Work) -> np.ndarray:
+        """Solve the system with blocks A = (C, M + tau S) for the 2N vector b."""
+        if self._lu_KR is None:
+            self._lu_KR = SparseLu(self._K - self._tau_R)
+            work.n_factor += 1
+        C, D = A
+        M, K, N = self._M, self._K, self._M.nrows
+
+        def apply(x):
+            U, W = x[:N], x[N:]
+            top = matvec(C, U) + matvec(D, W)
+            return np.concatenate([top, matvec(K, U) - matvec(M, W)])
+
+        def eliminate(r):
+            U = self._lu_KR._lu.solve(r[:N] + r[N:])
+            W = self._lu_M._lu.solve(r[:N] + matvec(self._tau_R, U))
+            return np.concatenate([U, W])
+
+        return work.solve(b, apply, eliminate, lambda: block2x2(C, D, K, -M))
+
+
+def _block_system(ops: FemOperators, tau: float, work: _Work) -> _BlockSystem:
     key = ("block", tau)
     if key not in ops.cache:
-        ops.cache[key] = _BlockSystem(ops, tau)
+        ops.cache[key] = _BlockSystem(ops, tau, cached_lu(ops, "M", work))
     return ops.cache[key]
 
 
@@ -242,8 +247,8 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     t0 = time.perf_counter()
     tau = cfg.tau
     N = ops.grid.N
-    ws = _block_system(ops, tau)
     work = _Work()
+    ws = _block_system(ops, tau, work)
     Z = matvec(ops.M, state_t.W)
     zeros = np.zeros(N)
     rhs = None if with_b else np.concatenate([Z, zeros])
@@ -293,24 +298,22 @@ def step_modified(ops: FemOperators, state_t: State, cfg: SolverConfig):
 def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
     """Semilinear step: one linear solve with coefficients frozen at time t.
 
-    (M + tau S(U(t))) W(t+tau) = M W(t) + tau R U(t), then K U(t+tau) = M W(t+tau).
-    Cheap, but unstable over long horizons; the reported residual_norm is the
-    defect of the fully implicit system at the produced state.
+    (M + tau S(U(t))) W(t+tau) = M W(t) + tau R U(t), then K U(t+tau) = M W(t+tau),
+    the first corrected against the run's LU of M.  Cheap, but unstable over
+    long horizons; the reported residual_norm is the defect of the fully
+    implicit system at the produced state.
     """
     t0 = time.perf_counter()
     tau = cfg.tau
     work = _Work()
     Z = matvec(ops.M, state_t.W)
     S_t = assemble_S(ops.grid, state_t.U)
-    if "lu_K" not in ops.cache:
-        ops.cache["lu_K"] = SparseLu(ops.K)
-        work.n_factor += 1
-    lu_W = SparseLu(ops.M + tau * S_t)
-    work.n_factor += 1
-    W_new = lu_W.solve(Z + tau * matvec(ops.R, state_t.U))
-    work.count(lu_W)
-    U_new = ops.cache["lu_K"].solve(matvec(ops.M, W_new))
-    work.count(ops.cache["lu_K"])
+    lu_M, lu_K = cached_lu(ops, "M", work), cached_lu(ops, "K", work)
+    D = ops.M + tau * S_t
+    rhs = Z + tau * matvec(ops.R, state_t.U)
+    W_new = work.solve(rhs, partial(matvec, D), lu_M._lu.solve, lambda: D)
+    U_new = lu_K.solve(matvec(ops.M, W_new))
+    work.n_linear_iters += lu_K.corrections
     err = _checked_rel_err(np.concatenate([U_new, W_new]), state_t.U)
     state = State(U_new, W_new)
     return state, _report(ops, state, Z, cfg, 1, err, t0, work, converged=True)

@@ -1,4 +1,4 @@
-"""CSR matrix container, block composition, LU solves, and the mass-weighted norm.
+"""CSR matrices, block composition, defect-corrected LU solves, the mass norm.
 
 Matrices are immutable after construction.  scipy.sparse does the heavy
 lifting behind the container; accumulation and solve paths are deterministic
@@ -22,7 +22,7 @@ EPS_FLOOR = 1e-300
 #: Relative residual contract for solve().
 SOLVE_RTOL = 1e-10
 
-#: Defect correction stops once the relative residual is at round-off, or
+#: ``defect_correction`` stops once the relative residual is at round-off, or
 #: after this many corrections.
 _ROUNDOFF_RTOL = 1e-15
 _MAX_CORRECTIONS = 20
@@ -62,14 +62,8 @@ class CsrMatrix:
     def nnz(self) -> int:
         return int(self.row_offsets[self.nrows])
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return matvec(self, x)
-
     def to_dense(self) -> np.ndarray:
         return self._sp.toarray()
-
-    def transpose(self) -> "CsrMatrix":
-        return CsrMatrix.from_scipy(self._sp.T)
 
     def __add__(self, other: "CsrMatrix") -> "CsrMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -131,18 +125,43 @@ def block2x2(A11: CsrMatrix, A12: CsrMatrix, A21: CsrMatrix, A22: CsrMatrix) -> 
     )
 
 
+def defect_correction(b, apply, precond, pivot=0.0):
+    """Solve ``A x = b`` by defect correction, ``x += P (b - A x)``.
+
+    ``apply(x)`` is ``A x``; ``precond`` applies P, the exact or approximate
+    inverse of a nearby matrix.  Corrections continue while the residual at
+    least halves and lies above round-off, at most 20 times.  The result must
+    then honor ||Ax-b|| / max(||b||, eps) <= 1e-10, or ``SingularMatrixError``
+    is raised with ``pivot`` and the corrections; a NaN residual never passes.
+    Returns x and the number of corrections.
+    """
+    bnorm = max(np.linalg.norm(b), EPS_FLOOR)
+    x = precond(b)
+    r = b - apply(x)
+    res = np.linalg.norm(r) / bnorm
+    k = 0
+    while res > _ROUNDOFF_RTOL and k < _MAX_CORRECTIONS:
+        x_new = x + precond(r)
+        r_new = b - apply(x_new)
+        res_new = np.linalg.norm(r_new) / bnorm
+        k += 1
+        if not res_new <= 0.5 * res:
+            if res_new < res:
+                x, res = x_new, res_new
+            break
+        x, r, res = x_new, r_new, res_new
+    if not res <= SOLVE_RTOL:
+        msg = f"solve residual {res:.3e} exceeds contract {SOLVE_RTOL:.0e}"
+        raise SingularMatrixError(msg, pivot=pivot, corrections=k)
+    return x, k
+
+
 class SparseLu:
     """Reusable LU factorization of a square CsrMatrix or scipy sparse matrix.
 
-    ``solve(b, A)`` solves ``A x = b`` by defect correction against this
-    factorization, ``x += LU^-1 (b - A x)``; ``A`` defaults to the factored
-    matrix, where the corrections are plain iterative refinement.  With an
-    ``A`` near the factored matrix the LU is a near-exact preconditioner.
-    Corrections continue while the residual at least halves and lies above
-    round-off.  The result must then honor the residual contract
-    ||Ax-b|| / max(||b||, eps) <= 1e-10, or ``SingularMatrixError`` is
-    raised; a non-finite residual never passes.  ``corrections`` holds the
-    number of corrections the last solve made.
+    ``solve(b)`` refines the LU solution with ``defect_correction`` against
+    the factored matrix; ``corrections`` holds the number of corrections the
+    last successful solve made.
     """
 
     def __init__(self, A):
@@ -166,32 +185,13 @@ class SparseLu:
                 pivot=self._pivot,
             )
 
-    def solve(self, b: np.ndarray, A=None) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ShapeError(f"rhs needs length {self.n}, got shape {b.shape}")
-        A = self._A if A is None else A
-        bnorm = max(np.linalg.norm(b), EPS_FLOOR)
-        x = self._lu.solve(b)
-        r = b - A @ x
-        res = np.linalg.norm(r) / bnorm
-        k = 0
-        while res > _ROUNDOFF_RTOL and k < _MAX_CORRECTIONS:
-            x_new = x + self._lu.solve(r)
-            r_new = b - A @ x_new
-            res_new = np.linalg.norm(r_new) / bnorm
-            k += 1
-            if not res_new <= 0.5 * res:
-                if res_new < res:
-                    x, res = x_new, res_new
-                break
-            x, r, res = x_new, r_new, res_new
-        self.corrections = k
-        if not res <= SOLVE_RTOL:
-            raise SingularMatrixError(
-                f"solve residual {res:.3e} exceeds contract {SOLVE_RTOL:.0e}",
-                pivot=self._pivot,
-            )
+        x, self.corrections = defect_correction(
+            b, self._A.__matmul__, self._lu.solve, self._pivot
+        )
         return x
 
 

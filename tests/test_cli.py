@@ -129,6 +129,31 @@ def test_snapshot_round_trip(tmp_path):
     assert np.array_equal(W_back, st.W)
 
 
+def emit_snapshot_loop(state, grid, path):
+    """The per-node snapshot writer emit_snapshot replaced; the byte reference."""
+    xs, ys = grid.xs, grid.ys
+    lines = ["x,y,u,w"]
+    for j in range(grid.n):
+        for i in range(grid.n):
+            d = dof_of_node(grid, i, j)
+            lines.append(
+                f"{xs[i]:.17g},{ys[j]:.17g},{state.U[d]:.17g},{state.W[d]:.17g}"
+            )
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", [3, 4, 17])
+def test_snapshot_matches_per_node_loop(tmp_path, n):
+    g = build_grid(np.pi, 2.0, n)
+    rng = np.random.default_rng(n)
+    U = rng.standard_normal(g.N) * 1e-7
+    U[0] = -0.0
+    st = State(U, -rng.standard_normal(g.N))
+    emit_snapshot(st, g, 0.5, tmp_path / "new.csv")
+    emit_snapshot_loop(st, g, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_convergence_log_contents(tmp_path):
     res = run(preset(2), SolverConfig(tau=0.1, method="newton"), T=0.3, n=9)
     path = tmp_path / "conv.csv"

@@ -115,6 +115,13 @@ def test_one_block_lu_per_run(method):
     assert {r.iterations for r in res.reports} == {2}
 
 
+def test_semilinear_run_reuses_mass_lu():
+    # The W solves correct against init_w0's LU of M; only K is factored.
+    res = run(preset(2), SolverConfig(tau=0.1, method="semilinear"), T=1.0, n=17)
+    assert res.total_factorizations() == 1
+    assert res.stop_reason == "reached_T"
+
+
 @pytest.mark.parametrize("method", ["newton", "chord", "modified"])
 def test_non_finite_iterate_stops_run(monkeypatch, method):
     from hmfem.solvers import _BlockSystem

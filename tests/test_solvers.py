@@ -20,6 +20,7 @@ from hmfem import (
     matvec,
     preset,
     residual,
+    run,
     sample_nodes,
     solve,
     step_chord,
@@ -29,7 +30,7 @@ from hmfem import (
 )
 from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
-from hmfem.solvers import _BlockSystem, tau_bound_report
+from hmfem.solvers import _block_system, _BlockSystem, _Work, tau_bound_report
 from hmfem.sparse import SparseLu
 
 
@@ -172,6 +173,32 @@ def test_chord_first_iteration_equals_newton():
     assert np.array_equal(sn.W, sc.W)
 
 
+def test_block_elimination_matches_block_lu(rng):
+    ops, _ = initial_state(preset(2), 17)
+    N, tau = ops.grid.N, 0.1
+    ws = _block_system(ops, tau, _Work())
+    b = rng.standard_normal(2 * N)
+    x = ws.solve(ws.matrix(np.zeros(ops.R.nnz)), b, _Work())
+    ref = SparseLu(block2x2(-tau * ops.R, ops.M, ops.K, -ops.M)).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("method", ["newton", "chord", "modified"])
+def test_implicit_run_factors_only_n_by_n(monkeypatch, method):
+    rows = []
+    original = SparseLu.__init__
+
+    def spy(self, A):
+        original(self, A)
+        rows.append(self.n)
+
+    monkeypatch.setattr(SparseLu, "__init__", spy)
+    res = run(preset(2), SolverConfig(tau=0.1, method=method), T=0.3, n=17)
+    # The LU of M (init_w0) and of K - tau R; no fallback on smooth data.
+    assert res.total_factorizations() == 1
+    assert rows == [(17 - 1) ** 2] * 2
+
+
 @pytest.mark.parametrize(
     "stepper, n_S, n_B, n_matrix",
     [
@@ -267,8 +294,18 @@ def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
     # The state-free LU, then a fresh LU for every inner solve.
     assert rep.n_factor == rep.iterations + 1
     for A, b, x in solves:
-        ref = SparseLu(A).solve(b)
+        ref = SparseLu(block2x2(*A, ops.K, -ops.M)).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_chord_divergence_stops_as_non_finite():
+    # Chord diverges on O(1) data; once the norm of the finite right-hand
+    # side overflows, the run stops as non_finite, not as a solver failure.
+    cfg = SolverConfig(tau=0.1, method="chord")
+    res = run(large_data_spec(1.0), cfg, T=0.1, n=17, cap=1e300)
+    assert res.stop_reason == "non_finite"
+    assert "right-hand side" in res.failure
+    assert res.reports == []
 
 
 def test_large_data_newton_matches_dense_oracle():
@@ -325,6 +362,19 @@ def test_semilinear_matches_dense_solve():
     U_ref = np.linalg.solve(Kd, Md @ W_ref)
     assert np.linalg.norm(state.W - W_ref) / np.linalg.norm(W_ref) <= 1e-10
     assert np.linalg.norm(state.U - U_ref) / np.linalg.norm(U_ref) <= 1e-10
+
+
+def test_semilinear_large_data_falls_back_to_fresh_lu():
+    spec = large_data_spec(1.0)
+    ops, s0 = initial_state(spec, 9)
+    tau = 0.1
+    state, rep = step_semilinear(ops, s0, SolverConfig(tau=tau))
+    # The LU of K, then one of M + tau S: correcting against M's LU stalls.
+    assert rep.n_factor == 2
+    Md, Kd, Rd = ops.M.to_dense(), ops.K.to_dense(), ops.R.to_dense()
+    Sd = assemble_S(ops.grid, s0.U).to_dense()
+    W_ref = np.linalg.solve(Md + tau * Sd, Md @ s0.W + tau * Rd @ s0.U)
+    assert np.linalg.norm(state.W - W_ref) <= 1e-10 * np.linalg.norm(W_ref)
 
 
 def test_semilinear_energy_nonincreasing_without_drift():

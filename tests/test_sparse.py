@@ -16,7 +16,7 @@ from hmfem import (
     matvec,
     solve,
 )
-from hmfem.sparse import SparseLu
+from hmfem.sparse import SparseLu, defect_correction
 
 
 def dense_of(triplets, shape):
@@ -187,13 +187,14 @@ def test_defect_correction_against_another_matrix(rng):
     b = rng.standard_normal(g.N)
     # A nearby matrix: corrections reach round-off, as a direct solve does.
     near = M + 1e-4 * assemble_stiffness(g)
-    x = lu.solve(b, near._sp)
-    assert lu.corrections >= 2
+    x, corrections = defect_correction(b, lambda v: matvec(near, v), lu._lu.solve)
+    assert corrections >= 2
     assert np.linalg.norm(matvec(near, x) - b) <= 1e-14 * np.linalg.norm(b)
     assert np.allclose(x, solve(near, b), rtol=0, atol=1e-12 * np.abs(x).max())
     # A far one: the correction diverges and the contract check refuses it.
+    far = M + 1e3 * assemble_stiffness(g)
     with pytest.raises(SingularMatrixError):
-        lu.solve(b, (M + 1e3 * assemble_stiffness(g))._sp)
+        defect_correction(b, lambda v: matvec(far, v), lu._lu.solve)
 
 
 def test_solve_singular():
