@@ -39,7 +39,6 @@ from .integrate import (
 from .problems import ProblemSpec, preset, sample_nodes
 from .solvers import (
     SolverConfig,
-    StabilityConstants,
     State,
     StepReport,
     jacobian,

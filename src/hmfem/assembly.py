@@ -32,8 +32,8 @@ from .sparse import CsrMatrix
 class FemOperators:
     """The fixed matrices of one grid/problem pair; assembled once per run.
 
-    ``cache`` memoizes per-run solver scaffolding (block patterns, constant
-    factorizations); it never affects results.
+    ``cache`` holds the run's LU factorizations (``SparseLu``), built once
+    through ``solvers.cached_lu``; it never affects results.
     """
 
     M: CsrMatrix

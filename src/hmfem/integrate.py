@@ -83,7 +83,7 @@ class RunResult:
 
 def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
     """Initial W from the elliptic constraint: solve M W0 = K U0 (LU cached)."""
-    return cached_lu(ops, "M").solve(matvec(ops.K, U0))
+    return cached_lu(ops, "M", lambda: ops.M).solve(matvec(ops.K, U0))
 
 
 def _diagnose(ops: FemOperators, state: State) -> Diagnostics:
@@ -168,20 +168,13 @@ def run(
         result.reports.append(report)
         diag = _diagnose(ops, state)
         result.diagnostics.append(diag)
-        is_snapshot = (i + 1) % snapshot_every == 0
-        if is_snapshot:
+        capped = diag.u_max >= cap
+        if (i + 1) % snapshot_every == 0 or i + 1 == n_steps or capped:
             result.states.append(state)
             result.state_times.append(t)
-        if diag.u_max >= cap:
+        if capped:
             result.stop_reason = "amplitude_cap"
-            if not is_snapshot:
-                result.states.append(state)
-                result.state_times.append(t)
             break
-    else:
-        if n_steps and result.state_times[-1] != result.times[-1]:
-            result.states.append(state)
-            result.state_times.append(result.times[-1])
     return result
 
 

@@ -17,10 +17,12 @@ update raises ``NonFiniteError`` instead of being accepted.
 
 Newton, chord and modified are one loop, ``_newton_type_step``, that
 differs only in the matrix it forms: with or without B, every iteration or
-once per step.  They correct each inner system against the state-free step
-matrix [[-tau R, M], [K, -M]], solved by block elimination with one LU of
-K - tau R per run and the run's LU of M, which ``init_w0`` and semilinear
-share.  A full 2N x 2N LU is built only as the fallback when that stalls.
+once per step.  The loop corrects each inner system against the state-free
+step matrix [[-tau R, M], [K, -M]], which it solves by block elimination
+with one LU of K - tau R per run and the run's LU of M, which ``init_w0``
+and semilinear share.  A full 2N x 2N LU is built only as the fallback when
+that stalls.  ``cached_lu`` keeps the run's LUs in ``ops.cache``, which
+holds nothing else.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ class _Work:
 
     def solve(self, b, apply, precond, matrix) -> np.ndarray:
         """Solve A x = b by correction against precond, or by an LU of matrix()."""
-        bnorm = np.linalg.norm(b)
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            bnorm = np.linalg.norm(b)
         if not math.isfinite(bnorm):
             raise NonFiniteError(f"non-finite right-hand side (norm {bnorm})")
         try:
@@ -136,73 +139,37 @@ class _Work:
         return x
 
 
-def cached_lu(ops: FemOperators, name: str, work: _Work | None = None) -> SparseLu:
-    """The run's one LU of ``ops.M`` or ``ops.K``; building it counts in ``work``."""
-    key = "lu_" + name
+def cached_lu(ops: FemOperators, key, matrix, work: _Work | None = None) -> SparseLu:
+    """The run's LU of ``matrix()`` under ``key``; building it counts in ``work``."""
     if key not in ops.cache:
-        ops.cache[key] = SparseLu(getattr(ops, name))
+        ops.cache[key] = SparseLu(matrix())
         if work is not None:
             work.n_factor += 1
     return ops.cache[key]
 
 
-class _BlockSystem:
-    """The step systems [[C, M + tau S], [K, -M]] x = b of one tau.
+def _form_system(
+    ops: FemOperators,
+    tau: float,
+    neg_tau_R: CsrMatrix,
+    S: CsrMatrix,
+    B: CsrMatrix | None,
+):
+    """One inner system A = [[C, M + tau S], [K, -M]] on the shared pattern.
 
-    An inner system is its two state-dependent blocks on the grid's shared
-    pattern: C = tau (B(W) - R), or -tau R without B, and M + tau S(U); K and
-    -M are fixed.  tau S and tau B are small against M and R on the presets,
-    so the state-free system [[-tau R, M], [K, -M]] is a near-exact
-    preconditioner, and block elimination solves it: adding its block rows
-    gives (K - tau R) U = r1 + r2, then M W = r1 + tau R U.  ``solve``
-    corrects every inner system against that, with one LU of K - tau R per
-    run and the run's LU of M.  When the correction stalls, as O(1) data
-    makes tau S large, it falls back to an LU of the 2N x 2N system itself.
-    The instance lives in ``ops.cache`` and must not hold ``ops``.
+    C is tau (B - R), or -tau R without B.  Returns ``apply`` (x -> A x) and
+    a thunk that builds A as one 2N x 2N matrix for the fallback.
     """
+    M, K, N = ops.M, ops.K, ops.grid.N
+    D = replace(M, values=M.values + tau * S.values)
+    C = neg_tau_R if B is None else replace(M, values=tau * (B.values - ops.R.values))
 
-    def __init__(self, ops: FemOperators, tau: float, lu_M: SparseLu):
-        self._tau = tau
-        self._M, self._K, self._R = ops.M, ops.K, ops.R
-        self._tau_R = tau * ops.R
-        self._neg_tau_R = -self._tau_R
-        self._lu_M = lu_M
-        self._lu_KR: SparseLu | None = None
+    def apply(x):
+        U, W = x[:N], x[N:]
+        top = matvec(C, U) + matvec(D, W)
+        return np.concatenate([top, matvec(K, U) - matvec(M, W)])
 
-    def matrix(self, S_vals: np.ndarray, B_vals: np.ndarray | None = None):
-        """The state-dependent blocks (C, M + tau S) of one inner system."""
-        tau, M = self._tau, self._M
-        D = replace(M, values=M.values + tau * S_vals)
-        if B_vals is None:
-            return self._neg_tau_R, D
-        return replace(M, values=tau * (B_vals - self._R.values)), D
-
-    def solve(self, A, b: np.ndarray, work: _Work) -> np.ndarray:
-        """Solve the system with blocks A = (C, M + tau S) for the 2N vector b."""
-        if self._lu_KR is None:
-            self._lu_KR = SparseLu(self._K - self._tau_R)
-            work.n_factor += 1
-        C, D = A
-        M, K, N = self._M, self._K, self._M.nrows
-
-        def apply(x):
-            U, W = x[:N], x[N:]
-            top = matvec(C, U) + matvec(D, W)
-            return np.concatenate([top, matvec(K, U) - matvec(M, W)])
-
-        def eliminate(r):
-            U = self._lu_KR._lu.solve(r[:N] + r[N:])
-            W = self._lu_M._lu.solve(r[:N] + matvec(self._tau_R, U))
-            return np.concatenate([U, W])
-
-        return work.solve(b, apply, eliminate, lambda: block2x2(C, D, K, -M))
-
-
-def _block_system(ops: FemOperators, tau: float, work: _Work) -> _BlockSystem:
-    key = ("block", tau)
-    if key not in ops.cache:
-        ops.cache[key] = _BlockSystem(ops, tau, cached_lu(ops, "M", work))
-    return ops.cache[key]
+    return apply, lambda: block2x2(C, D, K, -M)
 
 
 def _checked_rel_err(sol: np.ndarray, U: np.ndarray) -> float:
@@ -243,13 +210,30 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     the right-hand side is fixed, g = Z.  With B, g = tau S(U) W + Z where
     the matrix was formed at this iterate; otherwise (chord) the frozen
     S(U0) is corrected, g = tau S(U)(W0 - W) + tau S(U0) W + Z.
+
+    tau S and tau B are small against M and R on the presets, so every
+    solve corrects against the state-free system [[-tau R, M], [K, -M]].
+    Block elimination solves that: adding its block rows gives
+    (K - tau R) U = r1 + r2, then M W = r1 + tau R U, with the run's LUs of
+    K - tau R and of M.  When the correction stalls, as O(1) data makes
+    tau S large, a solve falls back to an LU of its 2N x 2N system.
     """
     t0 = time.perf_counter()
     tau = cfg.tau
-    N = ops.grid.N
+    M, N = ops.M, ops.grid.N
     work = _Work()
-    ws = _block_system(ops, tau, work)
-    Z = matvec(ops.M, state_t.W)
+    # -tau R serves as C and in the elimination: r1 - (-tau R) U rounds
+    # exactly as r1 + tau R U does.
+    neg_tau_R = -tau * ops.R
+    lu_M = cached_lu(ops, "M", lambda: M, work)
+    lu_KR = cached_lu(ops, ("K - tau R", tau), lambda: ops.K + neg_tau_R, work)
+
+    def eliminate(r):
+        U = lu_KR._lu.solve(r[:N] + r[N:])
+        W = lu_M._lu.solve(r[:N] - matvec(neg_tau_R, U))
+        return np.concatenate([U, W])
+
+    Z = matvec(M, state_t.W)
     zeros = np.zeros(N)
     rhs = None if with_b else np.concatenate([Z, zeros])
     U, W = state_t.U, state_t.W
@@ -259,8 +243,8 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
         S = assemble_S(ops.grid, U)
         if k == 0 or refresh:
             S_A = S
-            B_vals = assemble_B(ops.grid, W).values if with_b else None
-            A = ws.matrix(S.values, B_vals)
+            B = assemble_B(ops.grid, W) if with_b else None
+            apply, matrix = _form_system(ops, tau, neg_tau_R, S, B)
         if with_b:
             if S is S_A:
                 g = tau * matvec(S, W) + Z
@@ -268,7 +252,7 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
                 # Keep this grouping: a regrouped sum rounds differently.
                 g = tau * matvec(S, state_t.W - W) + tau * matvec(S_A, W) + Z
             rhs = np.concatenate([g, zeros])
-        sol = ws.solve(A, rhs, work)
+        sol = work.solve(rhs, apply, eliminate, matrix)
         err = _checked_rel_err(sol, U)
         U, W = sol[:N], sol[N:]
         k += 1
@@ -308,7 +292,8 @@ def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
     work = _Work()
     Z = matvec(ops.M, state_t.W)
     S_t = assemble_S(ops.grid, state_t.U)
-    lu_M, lu_K = cached_lu(ops, "M", work), cached_lu(ops, "K", work)
+    lu_M = cached_lu(ops, "M", lambda: ops.M, work)
+    lu_K = cached_lu(ops, "K", lambda: ops.K, work)
     D = ops.M + tau * S_t
     rhs = Z + tau * matvec(ops.R, state_t.U)
     W_new = work.solve(rhs, partial(matvec, D), lu_M._lu.solve, lambda: D)
@@ -332,39 +317,28 @@ def step(ops: FemOperators, state_t: State, cfg: SolverConfig):
     return STEPPERS[cfg.method](ops, state_t, cfg)
 
 
-@dataclass(frozen=True)
-class StabilityConstants:
-    """Inverse-inequality constants of the step-size bounds; diagnostic only."""
-
-    c_inv: float = 1.0
-    c0_inv: float = 1.0
-
-
 def tau_bound_report(
-    ops: FemOperators,
-    state: State,
-    tau: float,
-    p_norm_1inf: float,
-    T: float,
-    constants: StabilityConstants = StabilityConstants(),
+    ops: FemOperators, state: State, tau: float, p_norm_1inf: float, T: float
 ) -> dict:
     """Theoretical step-size bounds and the ratios tau/bound.
 
     The bounds are reported, never enforced; the computations run with
     tau = O(h), far above them.  Exponentials are evaluated in log space to
-    survive the huge growth factor exp(3 T ||p||).
+    survive the huge growth factor exp(3 T ||p||).  The inverse-inequality
+    constants are taken as c_inv = c0_inv = 1.
     """
+    c_inv = c0_inv = 1.0
     h = ops.grid.h
     w_m = m_norm(ops.M, state.W)
     log_a0 = 3.0 * T * p_norm_1inf + math.log(max(w_m, EPS_FLOOR))
     # D = c_inv^2 exp(3 T ||p||) ||w0|| + 2 ||p||; log-sum approximated by max.
     log_D = max(
-        log_a0 + 2.0 * math.log(max(constants.c_inv, EPS_FLOOR)),
+        log_a0 + 2.0 * math.log(max(c_inv, EPS_FLOOR)),
         math.log(max(2.0 * p_norm_1inf, EPS_FLOOR)),
     )
     bounds = {
         "hyperbolic": 1.0 / (6.0 * p_norm_1inf) if p_norm_1inf > 0 else math.inf,
-        "uniqueness": h * h / (16.0 * constants.c0_inv * w_m) if w_m > 0 else math.inf,
+        "uniqueness": h * h / (16.0 * c0_inv * w_m) if w_m > 0 else math.inf,
         "newton": math.exp(2.5 * math.log(h) - math.log(2.0) - log_D)
         if log_D < 700
         else 0.0,

@@ -124,17 +124,17 @@ def test_semilinear_run_reuses_mass_lu():
 
 @pytest.mark.parametrize("method", ["newton", "chord", "modified"])
 def test_non_finite_iterate_stops_run(monkeypatch, method):
-    from hmfem.solvers import _BlockSystem
+    from hmfem.solvers import _Work
 
-    original = _BlockSystem.solve
+    original = _Work.solve
     calls = {"n": 0}
 
-    def nan_after_first_step(self, A, b, work):
+    def nan_after_first_step(self, b, apply, precond, matrix):
         calls["n"] += 1
-        x = original(self, A, b, work)
+        x = original(self, b, apply, precond, matrix)
         return x if calls["n"] <= 2 else np.full_like(x, np.nan)
 
-    monkeypatch.setattr(_BlockSystem, "solve", nan_after_first_step)
+    monkeypatch.setattr(_Work, "solve", nan_after_first_step)
     res = run(preset(2), SolverConfig(tau=0.1, method=method), T=1.0, n=9)
     assert res.stop_reason == "non_finite"
     assert "non-finite" in res.failure

@@ -30,7 +30,7 @@ from hmfem import (
 )
 from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
-from hmfem.solvers import _block_system, _BlockSystem, _Work, tau_bound_report
+from hmfem.solvers import _Work, tau_bound_report
 from hmfem.sparse import SparseLu
 
 
@@ -173,14 +173,29 @@ def test_chord_first_iteration_equals_newton():
     assert np.array_equal(sn.W, sc.W)
 
 
-def test_block_elimination_matches_block_lu(rng):
-    ops, _ = initial_state(preset(2), 17)
+def spy_solves(monkeypatch):
+    """Record (b, apply, precond, matrix, x) of every ``_Work.solve``."""
+    solves = []
+    original = _Work.solve
+
+    def spy(self, b, apply, precond, matrix):
+        x = original(self, b, apply, precond, matrix)
+        solves.append((b, apply, precond, matrix, x))
+        return x
+
+    monkeypatch.setattr(_Work, "solve", spy)
+    return solves
+
+
+def test_block_elimination_matches_block_lu(monkeypatch, rng):
+    ops, s0 = initial_state(preset(2), 17)
     N, tau = ops.grid.N, 0.1
-    ws = _block_system(ops, tau, _Work())
+    solves = spy_solves(monkeypatch)
+    step_modified(ops, s0, SolverConfig(tau=tau, k_max=1))
+    [(_, _, eliminate, _, _)] = solves
     b = rng.standard_normal(2 * N)
-    x = ws.solve(ws.matrix(np.zeros(ops.R.nnz)), b, _Work())
     ref = SparseLu(block2x2(-tau * ops.R, ops.M, ops.K, -ops.M)).solve(b)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(eliminate(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("method", ["newton", "chord", "modified"])
@@ -226,7 +241,7 @@ def test_per_step_work_by_method(monkeypatch, stepper, n_S, n_B, n_matrix):
 
     monkeypatch.setattr(sv, "assemble_S", counted("S", sv.assemble_S))
     monkeypatch.setattr(sv, "assemble_B", counted("B", sv.assemble_B))
-    monkeypatch.setattr(_BlockSystem, "matrix", counted("matrix", _BlockSystem.matrix))
+    monkeypatch.setattr(sv, "_form_system", counted("matrix", sv._form_system))
     _, rep = stepper(ops, s0, cfg)
     assert rep.iterations == (1 if stepper is step_semilinear else 2)
     assert calls == {"S": n_S, "B": n_B, "matrix": n_matrix}
@@ -281,21 +296,21 @@ def large_data_spec(amplitude):
 @pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
 def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
     ops, s0 = initial_state(large_data_spec(0.5), 17)
-    solves = []
-    original = _BlockSystem.solve
-
-    def spy(self, A, b, work):
-        x = original(self, A, b, work)
-        solves.append((A, b, x))
-        return x
-
-    monkeypatch.setattr(_BlockSystem, "solve", spy)
+    solves = spy_solves(monkeypatch)
     _, rep = stepper(ops, s0, SolverConfig(tau=0.1))
     # The state-free LU, then a fresh LU for every inner solve.
     assert rep.n_factor == rep.iterations + 1
-    for A, b, x in solves:
-        ref = SparseLu(block2x2(*A, ops.K, -ops.M)).solve(b)
+    for b, _, _, matrix, x in solves:
+        ref = SparseLu(matrix()).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
+def test_cache_holds_only_lus(stepper):
+    ops, s0 = initial_state(preset(2), 9)
+    stepper(ops, s0, SolverConfig(tau=0.1))
+    assert ops.cache
+    assert all(isinstance(v, SparseLu) for v in ops.cache.values())
 
 
 def test_chord_divergence_stops_as_non_finite():
