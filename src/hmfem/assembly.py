@@ -32,8 +32,10 @@ from .sparse import CsrMatrix
 class FemOperators:
     """The fixed matrices of one grid/problem pair; assembled once per run.
 
-    ``cache`` holds the run's LU factorizations (``SparseLu``), built once
-    through ``solvers.cached_lu``; it never affects results.
+    ``cache`` holds the run's solvers, each built once: the FFT solvers
+    (``SpectralSolver``) of M and K, through ``solvers.cached_solver``, and
+    per tau the pair (-tau R, LU of K - tau R) of the block elimination; it
+    never affects results.
     """
 
     M: CsrMatrix

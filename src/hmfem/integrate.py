@@ -22,7 +22,7 @@ from .solvers import (
     SolverConfig,
     State,
     StepReport,
-    cached_lu,
+    cached_solver,
     m_norm,
     step,
     tau_bound_report,
@@ -82,8 +82,8 @@ class RunResult:
 
 
 def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
-    """Initial W from the elliptic constraint: solve M W0 = K U0 (LU cached)."""
-    return cached_lu(ops, "M", lambda: ops.M).solve(matvec(ops.K, U0))
+    """Initial W from the elliptic constraint: solve M W0 = K U0 (FFT solver cached)."""
+    return cached_solver(ops, "M").solve(matvec(ops.K, U0))
 
 
 def _diagnose(ops: FemOperators, state: State) -> Diagnostics:

@@ -18,11 +18,13 @@ update raises ``NonFiniteError`` instead of being accepted.
 Newton, chord and modified are one loop, ``_newton_type_step``, that
 differs only in the matrix it forms: with or without B, every iteration or
 once per step.  The loop corrects each inner system against the state-free
-step matrix [[-tau R, M], [K, -M]], which it solves by block elimination
-with one LU of K - tau R per run and the run's LU of M, which ``init_w0``
-and semilinear share.  A full 2N x 2N LU is built only as the fallback when
-that stalls.  ``cached_lu`` keeps the run's LUs in ``ops.cache``, which
-holds nothing else.
+step matrix [[-tau R, M], [K, -M]], which it solves by block elimination:
+an LU of K - tau R, the one factorization of a run, and an FFT solve with
+M.  On the uniform periodic grid M and K are block circulant, so
+``cached_solver`` inverts them by FFT (``SpectralSolver``) for ``init_w0``,
+the elimination and semilinear alike.  A full 2N x 2N LU is built only as
+the fallback when the correction stalls.  ``ops.cache`` keeps the spectral
+solvers of M and K and, per tau, -tau R with the LU of K - tau R.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .sparse import (
     EPS_FLOOR,
     CsrMatrix,
     SparseLu,
+    SpectralSolver,
     block2x2,
     defect_correction,
     m_norm,
@@ -139,12 +142,20 @@ class _Work:
         return x
 
 
-def cached_lu(ops: FemOperators, key, matrix, work: _Work | None = None) -> SparseLu:
-    """The run's LU of ``matrix()`` under ``key``; building it counts in ``work``."""
+def cached_solver(ops: FemOperators, name: str) -> SpectralSolver:
+    """The run's FFT solver of ``ops.M`` or ``ops.K`` (``name`` "M" or "K")."""
+    if name not in ops.cache:
+        ops.cache[name] = SpectralSolver(getattr(ops, name))
+    return ops.cache[name]
+
+
+def _cached_elimination(ops: FemOperators, tau: float, work: _Work):
+    """-tau R and the LU of K - tau R, built once per tau; the LU counts in ``work``."""
+    key = ("K - tau R", tau)
     if key not in ops.cache:
-        ops.cache[key] = SparseLu(matrix())
-        if work is not None:
-            work.n_factor += 1
+        neg_tau_R = -tau * ops.R
+        ops.cache[key] = neg_tau_R, SparseLu(ops.K + neg_tau_R)
+        work.n_factor += 1
     return ops.cache[key]
 
 
@@ -214,9 +225,9 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     tau S and tau B are small against M and R on the presets, so every
     solve corrects against the state-free system [[-tau R, M], [K, -M]].
     Block elimination solves that: adding its block rows gives
-    (K - tau R) U = r1 + r2, then M W = r1 + tau R U, with the run's LUs of
-    K - tau R and of M.  When the correction stalls, as O(1) data makes
-    tau S large, a solve falls back to an LU of its 2N x 2N system.
+    (K - tau R) U = r1 + r2, then M W = r1 + tau R U, with the run's LU of
+    K - tau R and FFT solver of M.  When the correction stalls, as O(1) data
+    makes tau S large, a solve falls back to an LU of its 2N x 2N system.
     """
     t0 = time.perf_counter()
     tau = cfg.tau
@@ -224,13 +235,12 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     work = _Work()
     # -tau R serves as C and in the elimination: r1 - (-tau R) U rounds
     # exactly as r1 + tau R U does.
-    neg_tau_R = -tau * ops.R
-    lu_M = cached_lu(ops, "M", lambda: M, work)
-    lu_KR = cached_lu(ops, ("K - tau R", tau), lambda: ops.K + neg_tau_R, work)
+    neg_tau_R, lu_KR = _cached_elimination(ops, tau, work)
+    solver_M = cached_solver(ops, "M")
 
     def eliminate(r):
-        U = lu_KR._lu.solve(r[:N] + r[N:])
-        W = lu_M._lu.solve(r[:N] - matvec(neg_tau_R, U))
+        U = lu_KR.apply_inverse(r[:N] + r[N:])
+        W = solver_M.apply_inverse(r[:N] - matvec(neg_tau_R, U))
         return np.concatenate([U, W])
 
     Z = matvec(M, state_t.W)
@@ -283,22 +293,23 @@ def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
     """Semilinear step: one linear solve with coefficients frozen at time t.
 
     (M + tau S(U(t))) W(t+tau) = M W(t) + tau R U(t), then K U(t+tau) = M W(t+tau),
-    the first corrected against the run's LU of M.  Cheap, but unstable over
-    long horizons; the reported residual_norm is the defect of the fully
-    implicit system at the produced state.
+    the first corrected against the run's FFT solver of M, the second by
+    that of K, so no LU is built unless that correction stalls.  Cheap, but
+    unstable over long horizons; the reported residual_norm is the defect of
+    the fully implicit system at the produced state.
     """
     t0 = time.perf_counter()
     tau = cfg.tau
     work = _Work()
     Z = matvec(ops.M, state_t.W)
     S_t = assemble_S(ops.grid, state_t.U)
-    lu_M = cached_lu(ops, "M", lambda: ops.M, work)
-    lu_K = cached_lu(ops, "K", lambda: ops.K, work)
+    solver_M = cached_solver(ops, "M")
+    solver_K = cached_solver(ops, "K")
     D = ops.M + tau * S_t
     rhs = Z + tau * matvec(ops.R, state_t.U)
-    W_new = work.solve(rhs, partial(matvec, D), lu_M._lu.solve, lambda: D)
-    U_new = lu_K.solve(matvec(ops.M, W_new))
-    work.n_linear_iters += lu_K.corrections
+    W_new = work.solve(rhs, partial(matvec, D), solver_M.apply_inverse, lambda: D)
+    U_new = solver_K.solve(matvec(ops.M, W_new))
+    work.n_linear_iters += solver_K.corrections
     err = _checked_rel_err(np.concatenate([U_new, W_new]), state_t.U)
     state = State(U_new, W_new)
     return state, _report(ops, state, Z, cfg, 1, err, t0, work, converged=True)

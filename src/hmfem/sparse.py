@@ -1,4 +1,4 @@
-"""CSR matrices, block composition, defect-corrected LU solves, the mass norm.
+"""CSR matrices, block composition, defect-corrected LU and FFT solves, the mass norm.
 
 Matrices are immutable after construction.  scipy.sparse does the heavy
 lifting behind the container; accumulation and solve paths are deterministic
@@ -7,6 +7,7 @@ for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,13 +157,26 @@ def defect_correction(b, apply, precond, pivot=0.0):
     return x, k
 
 
-class SparseLu:
-    """Reusable LU factorization of a square CsrMatrix or scipy sparse matrix.
+class _CorrectedSolver:
+    """A raw inverse ``apply_inverse`` of the matrix ``_A``, and ``solve``.
 
-    ``solve(b)`` refines the LU solution with ``defect_correction`` against
-    the factored matrix; ``corrections`` holds the number of corrections the
-    last successful solve made.
+    ``solve(b)`` refines ``apply_inverse(b)`` with ``defect_correction``
+    against ``_A``; ``corrections`` holds the number of corrections the last
+    successful solve made.
     """
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.n,):
+            raise ShapeError(f"rhs needs length {self.n}, got shape {b.shape}")
+        x, self.corrections = defect_correction(
+            b, self._A.__matmul__, self.apply_inverse, self._pivot
+        )
+        return x
+
+
+class SparseLu(_CorrectedSolver):
+    """Reusable LU factorization of a square CsrMatrix or scipy sparse matrix."""
 
     def __init__(self, A):
         if isinstance(A, CsrMatrix):
@@ -176,23 +190,56 @@ class SparseLu:
             self._lu = spla.splu(A, permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:  # scipy reports exact singularity this way
             raise SingularMatrixError(f"singular matrix: {exc}", pivot=0.0) from exc
-        d = np.abs(self._lu.U.diagonal())
-        dmax = float(d.max()) if d.size else 0.0
-        self._pivot = float(d.min()) if d.size else 0.0
-        if dmax == 0.0 or self._pivot <= 1e-14 * dmax:
-            raise SingularMatrixError(
-                f"matrix singular to working precision (pivot {self._pivot:.3e})",
-                pivot=self._pivot,
-            )
+        self._pivot = _checked_pivot(self._lu.U.diagonal())
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
-            raise ShapeError(f"rhs needs length {self.n}, got shape {b.shape}")
-        x, self.corrections = defect_correction(
-            b, self._A.__matmul__, self._lu.solve, self._pivot
+    def apply_inverse(self, r: np.ndarray) -> np.ndarray:
+        return self._lu.solve(r)
+
+
+class SpectralSolver(_CorrectedSolver):
+    """Inverse of a matrix on the periodic m x m grid, diagonalized by the FFT.
+
+    On the uniform periodic grid (dof j m + i, row index j) every
+    translation-invariant operator, such as M and K, is block circulant with
+    circulant blocks, and its eigenvalues are the 2-D DFT of its first
+    column shaped (m, m).  ``apply_inverse`` divides by them.  ``solve``
+    corrects against the matrix itself, so a matrix that is not of this form
+    fails the residual contract with ``SingularMatrixError`` instead of
+    returning a wrong x.
+    """
+
+    def __init__(self, A: CsrMatrix):
+        m = math.isqrt(A.nrows)
+        if A.nrows != A.ncols or m * m != A.nrows:
+            raise ShapeError("spectral solve needs a square matrix of m^2 rows")
+        self._A = A._sp
+        self.n = A.nrows
+        self.corrections = 0
+        self._m = m
+        e0 = np.zeros(self.n)
+        e0[0] = 1.0
+        symbol = np.fft.rfft2((self._A @ e0).reshape(m, m))
+        self._pivot = _checked_pivot(symbol)
+        self._inv_symbol = 1.0 / symbol
+
+    def apply_inverse(self, r: np.ndarray) -> np.ndarray:
+        # rfft2 and irfft2 spelled out: at m = 16 numpy's n-d wrappers cost
+        # more than the transforms.
+        m = self._m
+        rhat = np.fft.fft(np.fft.rfft(r.reshape(m, m)), axis=0) * self._inv_symbol
+        return np.fft.irfft(np.fft.ifft(rhat, axis=0), n=m).reshape(-1)
+
+
+def _checked_pivot(diagonal: np.ndarray) -> float:
+    """The smallest pivot or eigenvalue modulus; refuse one below 1e-14 relative."""
+    d = np.abs(diagonal)
+    dmax = float(d.max()) if d.size else 0.0
+    pivot = float(d.min()) if d.size else 0.0
+    if dmax == 0.0 or pivot <= 1e-14 * dmax:
+        raise SingularMatrixError(
+            f"matrix singular to working precision (pivot {pivot:.3e})", pivot=pivot
         )
-        return x
+    return pivot
 
 
 def solve(A: CsrMatrix, b: np.ndarray) -> np.ndarray:

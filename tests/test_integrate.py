@@ -115,10 +115,10 @@ def test_one_block_lu_per_run(method):
     assert {r.iterations for r in res.reports} == {2}
 
 
-def test_semilinear_run_reuses_mass_lu():
-    # The W solves correct against init_w0's LU of M; only K is factored.
+def test_semilinear_run_factors_nothing():
+    # M and K are solved by FFT, and smooth data never falls back to an LU.
     res = run(preset(2), SolverConfig(tau=0.1, method="semilinear"), T=1.0, n=17)
-    assert res.total_factorizations() == 1
+    assert res.total_factorizations() == 0
     assert res.stop_reason == "reached_T"
 
 

@@ -31,7 +31,7 @@ from hmfem import (
 from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
 from hmfem.solvers import _Work, tau_bound_report
-from hmfem.sparse import SparseLu
+from hmfem.sparse import SparseLu, SpectralSolver
 
 
 def initial_state(spec, n):
@@ -209,9 +209,10 @@ def test_implicit_run_factors_only_n_by_n(monkeypatch, method):
 
     monkeypatch.setattr(SparseLu, "__init__", spy)
     res = run(preset(2), SolverConfig(tau=0.1, method=method), T=0.3, n=17)
-    # The LU of M (init_w0) and of K - tau R; no fallback on smooth data.
+    # Only the LU of K - tau R; M is solved by FFT, and smooth data never
+    # falls back.
     assert res.total_factorizations() == 1
-    assert rows == [(17 - 1) ** 2] * 2
+    assert rows == [(17 - 1) ** 2]
 
 
 @pytest.mark.parametrize(
@@ -306,11 +307,31 @@ def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
 
 
 @pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
-def test_cache_holds_only_lus(stepper):
+def test_cache_holds_only_lus(monkeypatch, stepper):
+    # The one LU a run caches is that of K - tau R, kept with the -tau R
+    # every step's systems use; M's solver is the FFT one init_w0 built.
+    import hmfem.solvers as sv
+
     ops, s0 = initial_state(preset(2), 9)
-    stepper(ops, s0, SolverConfig(tau=0.1))
-    assert ops.cache
-    assert all(isinstance(v, SparseLu) for v in ops.cache.values())
+    solver_M = ops.cache["M"]
+    used = []
+    original = sv._form_system
+
+    def spy(ops, tau, neg_tau_R, S, B=None):
+        used.append(neg_tau_R)
+        return original(ops, tau, neg_tau_R, S, B)
+
+    monkeypatch.setattr(sv, "_form_system", spy)
+    cfg = SolverConfig(tau=0.1)
+    state, _ = stepper(ops, s0, cfg)
+    stepper(ops, state, cfg)
+    neg_tau_R, lu = ops.cache.pop(("K - tau R", 0.1))
+    assert ops.cache.pop("M") is solver_M
+    assert not ops.cache
+    assert isinstance(solver_M, SpectralSolver)
+    assert isinstance(lu, SparseLu) and lu.n == ops.grid.N
+    assert np.array_equal(neg_tau_R.values, -0.1 * ops.R.values)
+    assert len(used) >= 2 and all(u is neg_tau_R for u in used)
 
 
 def test_chord_divergence_stops_as_non_finite():
@@ -336,14 +357,12 @@ def test_large_data_newton_matches_dense_oracle():
 
 
 def test_semilinear_non_finite_iterate_raises(monkeypatch):
-    import hmfem.solvers as sv
-
-    class NanLu(sv.SparseLu):
-        def solve(self, b, A=None):
-            return np.full_like(b, np.nan)
+    def nan_solve(self, b):
+        return np.full_like(b, np.nan)
 
     ops, s0 = initial_state(preset(2), 5)
-    monkeypatch.setattr(sv, "SparseLu", NanLu)
+    # The U solve, with K's FFT solver, returns NaN.
+    monkeypatch.setattr(SpectralSolver, "solve", nan_solve)
     with pytest.raises(NonFiniteError):
         step_semilinear(ops, s0, SolverConfig(tau=0.1))
 
@@ -384,8 +403,8 @@ def test_semilinear_large_data_falls_back_to_fresh_lu():
     ops, s0 = initial_state(spec, 9)
     tau = 0.1
     state, rep = step_semilinear(ops, s0, SolverConfig(tau=tau))
-    # The LU of K, then one of M + tau S: correcting against M's LU stalls.
-    assert rep.n_factor == 2
+    # One LU, of M + tau S: correcting against M's FFT solver stalls.
+    assert rep.n_factor == 1
     Md, Kd, Rd = ops.M.to_dense(), ops.K.to_dense(), ops.R.to_dense()
     Sd = assemble_S(ops.grid, s0.U).to_dense()
     W_ref = np.linalg.solve(Md + tau * Sd, Md @ s0.W + tau * Rd @ s0.U)

@@ -8,15 +8,17 @@ from hmfem import (
     ShapeError,
     SingularMatrixError,
     assemble_mass,
+    assemble_operators,
     assemble_stiffness,
     block2x2,
     build_grid,
     from_triplets,
     m_norm,
     matvec,
+    preset,
     solve,
 )
-from hmfem.sparse import SparseLu, defect_correction
+from hmfem.sparse import SparseLu, SpectralSolver, defect_correction
 
 
 def dense_of(triplets, shape):
@@ -187,14 +189,14 @@ def test_defect_correction_against_another_matrix(rng):
     b = rng.standard_normal(g.N)
     # A nearby matrix: corrections reach round-off, as a direct solve does.
     near = M + 1e-4 * assemble_stiffness(g)
-    x, corrections = defect_correction(b, lambda v: matvec(near, v), lu._lu.solve)
+    x, corrections = defect_correction(b, lambda v: matvec(near, v), lu.apply_inverse)
     assert corrections >= 2
     assert np.linalg.norm(matvec(near, x) - b) <= 1e-14 * np.linalg.norm(b)
     assert np.allclose(x, solve(near, b), rtol=0, atol=1e-12 * np.abs(x).max())
     # A far one: the correction diverges and the contract check refuses it.
     far = M + 1e3 * assemble_stiffness(g)
     with pytest.raises(SingularMatrixError):
-        defect_correction(b, lambda v: matvec(far, v), lu._lu.solve)
+        defect_correction(b, lambda v: matvec(far, v), lu.apply_inverse)
 
 
 def test_solve_singular():
@@ -202,6 +204,47 @@ def test_solve_singular():
     with pytest.raises(SingularMatrixError) as exc:
         solve(sing, np.ones(2))
     assert exc.value.pivot >= 0.0
+
+
+@pytest.mark.parametrize(
+    "Lx, Ly, n",
+    # n = 3 wraps both neighbours onto one dof; n = 4 and 6 give odd m.
+    [(1, 1, 3), (1, 1, 4), (2, 2, 5), (2 * np.pi, np.pi, 17), (1, 3, 6)],
+)
+def test_spectral_inverse_matches_dense(Lx, Ly, n):
+    ops = assemble_operators(build_grid(Lx, Ly, n), preset(2).grad_p)
+    for A in (ops.M, ops.K):
+        solver = SpectralSolver(A)
+        inv = np.linalg.inv(A.to_dense())
+        cols = np.stack([solver.apply_inverse(e) for e in np.eye(A.nrows)], axis=1)
+        assert np.abs(cols - inv).max() <= 1e-13 * np.abs(inv).max()
+
+
+def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
+    # Test 5's drift varies in space, so K - tau R is not circulant: the FFT
+    # inverse of its first column is only a preconditioner for it.
+    spec = preset(5)
+    ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 17), spec.grad_p)
+    b = rng.standard_normal(ops.grid.N)
+    near = ops.K - 0.1 * ops.R
+    solver = SpectralSolver(near)
+    x = solver.solve(b)
+    assert solver.corrections >= 2
+    assert np.linalg.norm(matvec(near, x) - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.allclose(x, solve(near, b), rtol=0, atol=1e-12 * np.abs(x).max())
+    # At tau = 10 the correction diverges, and the contract refuses it.
+    far = ops.K - 10.0 * ops.R
+    solver = SpectralSolver(far)
+    with pytest.raises(SingularMatrixError) as exc:
+        solver.solve(b)
+    assert exc.value.corrections == 1
+
+
+def test_spectral_solver_refuses_vanishing_symbol():
+    # Constants lie in the stiffness matrix's kernel: its symbol is 0 at the
+    # zero frequency.
+    with pytest.raises(SingularMatrixError):
+        SpectralSolver(assemble_stiffness(build_grid(1.0, 1.0, 5)))
 
 
 def test_m_norm_basics():
