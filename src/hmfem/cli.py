@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,20 +19,6 @@ from .solvers import SolverConfig, State
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 3
-
-
-@dataclass
-class RunConfig:
-    test: int
-    method: str = "modified"
-    n: int = 17
-    tau: float = 0.1
-    T: float = 10.0
-    tol: float = 1e-6
-    k_max: int = 20
-    snapshot_every: int = 10
-    out_dir: str = ""
-    cap: float = DEFAULT_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,49 +38,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.1, help="time step")
     p.add_argument("--T", type=float, default=10.0, help="end time")
     p.add_argument("--tol", type=float, default=1e-6, help="relative-error tolerance")
-    p.add_argument("--kmax", type=int, default=20, help="max inner iterations")
+    p.add_argument(
+        "--kmax", dest="k_max", metavar="KMAX", type=int, default=20,
+        help="max inner iterations",
+    )
     p.add_argument(
         "--snapshot-every", type=int, default=10, help="steps between state snapshots"
     )
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument(
+        "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
+    )
     p.add_argument(
         "--cap", type=float, default=DEFAULT_CAP, help="amplitude cap on max|u|"
     )
     return p
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse CLI flags into a RunConfig; bad input exits with a usage error."""
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and validate CLI flags; bad input exits with a usage error."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        test = int(ns.test)
+        ns.test = int(ns.test)
     except ValueError:
         parser.error(
             f"--test {ns.test!r} is not a preset id; custom problem files are "
             "not supported, use the library API"
         )
-    if not 1 <= test <= 5:
-        parser.error(f"--test must be 1..5, got {test}")
+    if not 1 <= ns.test <= 5:
+        parser.error(f"--test must be 1..5, got {ns.test}")
     try:
-        solver_cfg = SolverConfig(ns.tau, ns.tol, ns.kmax, ns.method)
+        solver_cfg = SolverConfig(ns.tau, ns.tol, ns.k_max, ns.method)
         check_run_inputs(solver_cfg, ns.T, ns.snapshot_every, ns.cap)
     except ValueError as exc:
         parser.error(str(exc))
     if ns.n < 3:
         parser.error(f"--n must be >= 3, got {ns.n}")
-    return RunConfig(
-        test=test,
-        method=ns.method,
-        n=ns.n,
-        tau=ns.tau,
-        T=ns.T,
-        tol=ns.tol,
-        k_max=ns.kmax,
-        snapshot_every=ns.snapshot_every,
-        out_dir=ns.out,
-        cap=ns.cap,
-    )
+    return ns
 
 
 def emit_snapshot(state: State, grid: DofGrid, t: float, path) -> None:

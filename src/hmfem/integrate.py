@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .solvers import (
     step,
     tau_bound_report,
 )
-from .sparse import EPS_FLOOR, matvec
+from .sparse import EPS_FLOOR, defect_correction, matvec
 
 log = logging.getLogger(__name__)
 
@@ -82,8 +83,14 @@ class RunResult:
 
 
 def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
-    """Initial W from the elliptic constraint: solve M W0 = K U0 (FFT solver cached)."""
-    return cached_solver(ops, "M").solve(matvec(ops.K, U0))
+    """Initial W from the elliptic constraint: solve M W0 = K U0.
+
+    Corrected against the run's cached FFT inverse of M; a solve that
+    misses the residual contract raises ``SingularMatrixError``.
+    """
+    inv_M = cached_solver(ops, "M").apply_inverse
+    W0, _ = defect_correction(matvec(ops.K, U0), partial(matvec, ops.M), inv_M)
+    return W0
 
 
 def _diagnose(ops: FemOperators, state: State) -> Diagnostics:

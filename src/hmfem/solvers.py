@@ -19,12 +19,15 @@ Newton, chord and modified are one loop, ``_newton_type_step``, that
 differs only in the matrix it forms: with or without B, every iteration or
 once per step.  The loop corrects each inner system against the state-free
 step matrix [[-tau R, M], [K, -M]], which it solves by block elimination:
-an LU of K - tau R, the one factorization of a run, and an FFT solve with
+an LU of K - tau R, the one factorization of a run, and an FFT inverse of
 M.  On the uniform periodic grid M and K are block circulant, so
 ``cached_solver`` inverts them by FFT (``SpectralSolver``) for ``init_w0``,
-the elimination and semilinear alike.  A full 2N x 2N LU is built only as
-the fallback when the correction stalls.  ``ops.cache`` keeps the spectral
-solvers of M and K and, per tau, -tau R with the LU of K - tau R.
+the elimination and semilinear alike.  Every solve inside a step goes
+through ``_Work.solve``: it refuses a non-finite right-hand side, corrects
+against a nearby inverse, falls back to a fresh LU of the system when the
+correction stalls, and counts the corrections and LUs.  ``ops.cache``
+keeps the FFT solvers of M and K and, per tau, -tau R with the LU of
+K - tau R.
 """
 
 from __future__ import annotations
@@ -293,23 +296,24 @@ def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
     """Semilinear step: one linear solve with coefficients frozen at time t.
 
     (M + tau S(U(t))) W(t+tau) = M W(t) + tau R U(t), then K U(t+tau) = M W(t+tau),
-    the first corrected against the run's FFT solver of M, the second by
-    that of K, so no LU is built unless that correction stalls.  Cheap, but
-    unstable over long horizons; the reported residual_norm is the defect of
-    the fully implicit system at the produced state.
+    both through ``_Work.solve``: the first corrected against the run's FFT
+    inverse of M, the second against that of K, so no LU is built unless a
+    correction stalls.  Cheap, but unstable over long horizons; the reported
+    residual_norm is the defect of the fully implicit system at the
+    produced state.
     """
     t0 = time.perf_counter()
     tau = cfg.tau
+    M, K = ops.M, ops.K
     work = _Work()
-    Z = matvec(ops.M, state_t.W)
+    Z = matvec(M, state_t.W)
     S_t = assemble_S(ops.grid, state_t.U)
-    solver_M = cached_solver(ops, "M")
-    solver_K = cached_solver(ops, "K")
-    D = ops.M + tau * S_t
+    D = replace(M, values=M.values + tau * S_t.values)
     rhs = Z + tau * matvec(ops.R, state_t.U)
-    W_new = work.solve(rhs, partial(matvec, D), solver_M.apply_inverse, lambda: D)
-    U_new = solver_K.solve(matvec(ops.M, W_new))
-    work.n_linear_iters += solver_K.corrections
+    inv_M = cached_solver(ops, "M").apply_inverse
+    inv_K = cached_solver(ops, "K").apply_inverse
+    W_new = work.solve(rhs, partial(matvec, D), inv_M, lambda: D)
+    U_new = work.solve(matvec(M, W_new), partial(matvec, K), inv_K, lambda: K)
     err = _checked_rel_err(np.concatenate([U_new, W_new]), state_t.U)
     state = State(U_new, W_new)
     return state, _report(ops, state, Z, cfg, 1, err, t0, work, converged=True)

@@ -1,15 +1,16 @@
-"""CSR matrices, block composition, defect-corrected LU and FFT solves, the mass norm.
+"""CSR matrices, block composition, defect correction, LU and FFT inverses, the mass norm.
 
 Matrices are immutable after construction.  scipy.sparse does the heavy
 lifting behind the container; accumulation and solve paths are deterministic
-for identical inputs.
+for identical inputs.  ``defect_correction`` is the one refinement loop:
+``SparseLu`` and ``SpectralSolver`` supply the inverses it corrects with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,37 +158,22 @@ def defect_correction(b, apply, precond, pivot=0.0):
     return x, k
 
 
-class _CorrectedSolver:
-    """A raw inverse ``apply_inverse`` of the matrix ``_A``, and ``solve``.
+class SparseLu:
+    """Reusable LU factorization of a square CsrMatrix.
 
     ``solve(b)`` refines ``apply_inverse(b)`` with ``defect_correction``
-    against ``_A``; ``corrections`` holds the number of corrections the last
-    successful solve made.
+    against the factored matrix; ``corrections`` holds the number of
+    corrections the last successful solve made.
     """
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
-            raise ShapeError(f"rhs needs length {self.n}, got shape {b.shape}")
-        x, self.corrections = defect_correction(
-            b, self._A.__matmul__, self.apply_inverse, self._pivot
-        )
-        return x
-
-
-class SparseLu(_CorrectedSolver):
-    """Reusable LU factorization of a square CsrMatrix or scipy sparse matrix."""
-
-    def __init__(self, A):
-        if isinstance(A, CsrMatrix):
-            if A.nrows != A.ncols:
-                raise ShapeError("solve needs a square matrix")
-            A = A._sp.tocsc()
+    def __init__(self, A: CsrMatrix):
+        if A.nrows != A.ncols:
+            raise ShapeError("solve needs a square matrix")
         self._A = A
-        self.n = A.shape[0]
+        self.n = A.nrows
         self.corrections = 0
         try:
-            self._lu = spla.splu(A, permc_spec=_PERMC_SPEC)
+            self._lu = spla.splu(A._sp.tocsc(), permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:  # scipy reports exact singularity this way
             raise SingularMatrixError(f"singular matrix: {exc}", pivot=0.0) from exc
         self._pivot = _checked_pivot(self._lu.U.diagonal())
@@ -195,31 +181,36 @@ class SparseLu(_CorrectedSolver):
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
         return self._lu.solve(r)
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.n,):
+            raise ShapeError(f"rhs needs length {self.n}, got shape {b.shape}")
+        x, self.corrections = defect_correction(
+            b, partial(matvec, self._A), self.apply_inverse, self._pivot
+        )
+        return x
 
-class SpectralSolver(_CorrectedSolver):
+
+class SpectralSolver:
     """Inverse of a matrix on the periodic m x m grid, diagonalized by the FFT.
 
     On the uniform periodic grid (dof j m + i, row index j) every
     translation-invariant operator, such as M and K, is block circulant with
     circulant blocks, and its eigenvalues are the 2-D DFT of its first
-    column shaped (m, m).  ``apply_inverse`` divides by them.  ``solve``
-    corrects against the matrix itself, so a matrix that is not of this form
-    fails the residual contract with ``SingularMatrixError`` instead of
-    returning a wrong x.
+    column shaped (m, m).  ``apply_inverse`` divides by them.  It is exact
+    only for such a matrix; for any other it is a preconditioner, and
+    ``defect_correction`` against the true matrix refuses a wrong x.
     """
 
     def __init__(self, A: CsrMatrix):
         m = math.isqrt(A.nrows)
         if A.nrows != A.ncols or m * m != A.nrows:
             raise ShapeError("spectral solve needs a square matrix of m^2 rows")
-        self._A = A._sp
-        self.n = A.nrows
-        self.corrections = 0
         self._m = m
-        e0 = np.zeros(self.n)
+        e0 = np.zeros(A.nrows)
         e0[0] = 1.0
-        symbol = np.fft.rfft2((self._A @ e0).reshape(m, m))
-        self._pivot = _checked_pivot(symbol)
+        symbol = np.fft.rfft2(matvec(A, e0).reshape(m, m))
+        _checked_pivot(symbol)
         self._inv_symbol = 1.0 / symbol
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:

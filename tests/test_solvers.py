@@ -357,14 +357,43 @@ def test_large_data_newton_matches_dense_oracle():
 
 
 def test_semilinear_non_finite_iterate_raises(monkeypatch):
-    def nan_solve(self, b):
-        return np.full_like(b, np.nan)
-
     ops, s0 = initial_state(preset(2), 5)
-    # The U solve, with K's FFT solver, returns NaN.
-    monkeypatch.setattr(SpectralSolver, "solve", nan_solve)
+    original = _Work.solve
+
+    def nan_for_u(self, b, apply, precond, matrix):
+        x = original(self, b, apply, precond, matrix)
+        # The U solve, corrected against K's FFT inverse, returns NaN.
+        if precond == ops.cache["K"].apply_inverse:
+            return np.full_like(x, np.nan)
+        return x
+
+    monkeypatch.setattr(_Work, "solve", nan_for_u)
     with pytest.raises(NonFiniteError):
         step_semilinear(ops, s0, SolverConfig(tau=0.1))
+
+
+def test_semilinear_solves_w_then_u_through_work(monkeypatch):
+    import hmfem.solvers as sv
+
+    ops, s0 = initial_state(preset(2), 17)
+    solves = spy_solves(monkeypatch)
+    corrections = []
+    original = sv.defect_correction
+
+    def counted(*args):
+        x, k = original(*args)
+        corrections.append(k)
+        return x, k
+
+    monkeypatch.setattr(sv, "defect_correction", counted)
+    state, rep = step_semilinear(ops, s0, SolverConfig(tau=0.1))
+    [(_, _, precond_W, _, W), (b_U, _, precond_U, _, U)] = solves
+    assert precond_W == ops.cache["M"].apply_inverse
+    assert precond_U == ops.cache["K"].apply_inverse
+    assert np.array_equal(W, state.W) and np.array_equal(U, state.U)
+    assert np.array_equal(b_U, matvec(ops.M, state.W))
+    assert rep.n_factor == 0
+    assert len(corrections) == 2 and rep.n_linear_iters == sum(corrections)
 
 
 def test_kmax_flags_nonconvergence():
