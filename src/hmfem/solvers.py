@@ -221,9 +221,11 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     [[-tau R (+ tau B(W)), M + tau S], [K, -M]] x = [g; 0].  The matrix is
     formed at the first iterate, and again at every iterate when
     ``refresh`` is set; the B(W) block enters only ``with_b``.  Without B
-    the right-hand side is fixed, g = Z.  With B, g = tau S(U) W + Z where
-    the matrix was formed at this iterate; otherwise (chord) the frozen
-    S(U0) is corrected, g = tau S(U)(W0 - W) + tau S(U0) W + Z.
+    the right-hand side is fixed, g = Z, and so is the first iterate P g
+    of every solve, which is eliminated once per step.  With B,
+    g = tau S(U) W + Z where the matrix was formed at this iterate;
+    otherwise (chord) the frozen S(U0) is corrected,
+    g = tau S(U)(W0 - W) + tau S(U0) W + Z.
 
     tau S and tau B are small against M and R on the presets, so every
     solve corrects against the state-free system [[-tau R, M], [K, -M]].
@@ -248,7 +250,19 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
 
     Z = matvec(M, state_t.W)
     zeros = np.zeros(N)
-    rhs = None if with_b else np.concatenate([Z, zeros])
+    rhs, precond = None, eliminate
+    if not with_b:
+        # The rhs is fixed, and so is the first iterate of each solve,
+        # P rhs: eliminate it once per step, after _Work.solve has checked it.
+        rhs, P_rhs = np.concatenate([Z, zeros]), []
+
+        def precond(r):
+            if r is not rhs:
+                return eliminate(r)
+            if not P_rhs:
+                P_rhs.append(eliminate(r))
+            return P_rhs[0]
+
     U, W = state_t.U, state_t.W
     err = math.inf
     k = 0
@@ -265,7 +279,7 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
                 # Keep this grouping: a regrouped sum rounds differently.
                 g = tau * matvec(S, state_t.W - W) + tau * matvec(S_A, W) + Z
             rhs = np.concatenate([g, zeros])
-        sol = work.solve(rhs, apply, eliminate, matrix)
+        sol = work.solve(rhs, apply, precond, matrix)
         err = _checked_rel_err(sol, U)
         U, W = sol[:N], sol[N:]
         k += 1

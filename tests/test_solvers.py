@@ -248,6 +248,23 @@ def test_per_step_work_by_method(monkeypatch, stepper, n_S, n_B, n_matrix):
     assert calls == {"S": n_S, "B": n_B, "matrix": n_matrix}
 
 
+@pytest.mark.parametrize(
+    "stepper, n_rhs", [(step_newton, 2), (step_chord, 2), (step_modified, 1)]
+)
+def test_eliminations_per_step(monkeypatch, stepper, n_rhs):
+    # Each solve eliminates its rhs once and then once per correction;
+    # modified's rhs is fixed, so it eliminates that rhs once per step.
+    ops, s0 = initial_state(preset(2), 17)
+    cfg = SolverConfig(tau=0.1)
+    step_modified(ops, s0, cfg)  # builds the run's LU outside the count
+    lu = ops.cache[("K - tau R", cfg.tau)][1]
+    original, calls = lu.apply_inverse, []
+    monkeypatch.setattr(lu, "apply_inverse", lambda r: calls.append(r) or original(r))
+    _, rep = stepper(ops, s0, cfg)
+    assert rep.iterations == 2 and rep.n_linear_iters > 0
+    assert len(calls) == n_rhs + rep.n_linear_iters
+
+
 def test_modified_tau_small_is_state_independent_map(rng):
     # The modified iteration matrix does not involve B; with U = W = 0 the
     # system is linear and one iteration lands on the decoupled solve.
