@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .grid import DofGrid, Element, build_grid, dof_of_node
+from .grid import DofGrid, build_grid, dof_of_node
 from .integrate import (
     AprioriReport,
     Diagnostics,

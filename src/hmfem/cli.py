@@ -7,6 +7,7 @@ times excepted), so runs can be diffed and fed to any plotting tool.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 from .grid import DofGrid, build_grid
 from .integrate import DEFAULT_CAP, RunResult, check_run_inputs, run
 from .problems import preset
-from .solvers import SolverConfig, State
+from .solvers import STEPPERS, SolverConfig, State
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 3
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="modified",
-        choices=["newton", "chord", "modified", "semilinear"],
+        choices=list(STEPPERS),
         help="per-timestep solver",
     )
     p.add_argument("--n", type=int, default=17, help="partition points per direction")
@@ -127,8 +128,10 @@ def main(argv=None) -> int:
     )
 
     grid = build_grid(problem.Lx, problem.Ly, cfg.n)
+    # Enough decimals that consecutive steps get distinct names, at least 4.
+    decimals = max(4, 1 - math.floor(math.log10(cfg.tau)))
     for t, state in zip(result.state_times, result.states):
-        emit_snapshot(state, grid, t, out / f"snapshot_t{t:.4f}.csv")
+        emit_snapshot(state, grid, t, out / f"snapshot_t{t:.{decimals}f}.csv")
     emit_convergence_log(result, out / "convergence.csv")
 
     print(

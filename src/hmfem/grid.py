@@ -1,30 +1,20 @@
 """Uniform periodic triangulation of a rectangle.
 
-The square ``[0, Lx] x [0, Ly]`` is partitioned into ``(n-1)^2`` cells, each
-split into two triangles along the diagonal from the lower-left to the
-upper-right corner.  Opposite boundary nodes are identified, so the number of
-degrees of freedom is ``N = (n-1)^2`` rather than ``n^2``.  Grids are
-immutable after construction and safe to share between threads.
+The rectangle ``[0, Lx] x [0, Ly]`` is partitioned into ``(n-1)^2`` cells of
+``Lx/(n-1)`` by ``Ly/(n-1)`` (``h`` is the first), each split into two
+triangles along the diagonal from the lower-left to the upper-right corner.
+Opposite boundary nodes are identified, so the number of degrees of freedom
+is ``N = (n-1)^2`` rather than ``n^2``.  Grids are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidDomainError, InvalidPartitionError
-
-
-@dataclass(frozen=True)
-class Element:
-    """One triangle: dof indices, vertex coordinates, area, P1 basis gradients."""
-
-    dofs: tuple[int, int, int]
-    coords: np.ndarray  # (3, 2) vertex coordinates, unwrapped
-    area: float
-    grads: np.ndarray  # (3, 2) constant gradient of each local basis function
 
 
 @dataclass(frozen=True)
@@ -36,8 +26,6 @@ class DofGrid:
     triangles per cell.  The grid also carries the fixed sparsity pattern
     shared by every assembled operator: all of M, A, K, R, S(U) and B(W)
     live on the element-pair pattern with at most 7 entries per row.
-    ``elements`` is a lazily built per-triangle view of the same arrays,
-    for tests and the dense oracle; assembly never touches it.
     """
 
     n: int
@@ -54,18 +42,6 @@ class DofGrid:
     csr_indptr: np.ndarray = field(repr=False)
     csr_indices: np.ndarray = field(repr=False)
     pattern_scatter: np.ndarray = field(repr=False)
-
-    @cached_property
-    def elements(self) -> tuple[Element, ...]:
-        return tuple(
-            Element(tuple(dofs), coords, area, grads)
-            for dofs, coords, area, grads in zip(
-                self.tri_dofs.tolist(),
-                self.tri_coords,
-                self.tri_area.tolist(),
-                self.tri_grads,
-            )
-        )
 
     @property
     def nnz_pattern(self) -> int:

@@ -2,9 +2,12 @@
 
 Everything here goes through a different route than the production assembly:
 periodic basis functions are evaluated globally from the closed-form hat
-formula, integrals use a 7-point degree-5 triangle rule that strictly
-dominates the exactness class of the fast path, matrices are accumulated
-dense, and B(W) is built from its definition as columns S(e_j) W.
+formula, in mesh units of each axis (Lx/(n-1) and Ly/(n-1), so rectangular
+domains are covered), integrals use a 7-point degree-5 triangle rule that
+strictly dominates the exactness class of the fast path, matrices are
+accumulated dense, and B(W) is built from its definition as columns
+S(e_j) W.  Of the grid's element arrays only ``tri_coords`` and
+``tri_area`` are read, to place and weight the quadrature points.
 """
 
 from __future__ import annotations
@@ -66,6 +69,20 @@ def _node_coords(grid: DofGrid):
     return X.reshape(-1), Y.reshape(-1)
 
 
+def _spacings(grid: DofGrid) -> np.ndarray:
+    """The mesh spacings (Lx / (n-1), Ly / (n-1)) of the two axes."""
+    return np.array([grid.Lx, grid.Ly]) / (grid.n - 1)
+
+
+def _mesh_displacement(grid: DofGrid, x: float, y: float):
+    """Wrapped displacement (s, t) of (x, y) from every node, in mesh units."""
+    xc, yc = _node_coords(grid)
+    hx, hy = _spacings(grid)
+    s = ((x - xc + grid.Lx / 2) % grid.Lx - grid.Lx / 2) / hx
+    t = ((y - yc + grid.Ly / 2) % grid.Ly - grid.Ly / 2) / hy
+    return s, t
+
+
 def basis_values(grid: DofGrid, x: float, y: float) -> np.ndarray:
     """All N periodic P1 basis functions evaluated at one point.
 
@@ -73,9 +90,7 @@ def basis_values(grid: DofGrid, x: float, y: float) -> np.ndarray:
     (s, t), is max(0, 1 - max(|s|, |t|, |s - t|)) for the lower-left to
     upper-right diagonal orientation.
     """
-    xc, yc = _node_coords(grid)
-    s = ((x - xc + grid.Lx / 2) % grid.Lx - grid.Lx / 2) / grid.h
-    t = ((y - yc + grid.Ly / 2) % grid.Ly - grid.Ly / 2) / grid.h
+    s, t = _mesh_displacement(grid, x, y)
     return np.maximum(
         0.0, 1.0 - np.maximum(np.abs(s), np.maximum(np.abs(t), np.abs(s - t)))
     )
@@ -87,21 +102,19 @@ def basis_gradients(grid: DofGrid, x: float, y: float) -> np.ndarray:
     Points must avoid the measure-zero sector boundaries of the hats; the
     quadrature points used here always do.
     """
-    xc, yc = _node_coords(grid)
-    s = ((x - xc + grid.Lx / 2) % grid.Lx - grid.Lx / 2) / grid.h
-    t = ((y - yc + grid.Ly / 2) % grid.Ly - grid.Ly / 2) / grid.h
+    s, t = _mesh_displacement(grid, x, y)
     forms = np.stack([s, t, s - t, -s, -t, t - s])
     active = np.argmax(forms, axis=0)
     inside = forms.max(axis=0) < 1.0
-    g = -_FORM_GRADS[active] / grid.h
+    g = -_FORM_GRADS[active] / _spacings(grid)
     g[~inside] = 0.0
     return g
 
 
 def _quad_points(grid: DofGrid):
-    for el in grid.elements:
-        pts = _QBARY @ el.coords
-        for (x, y), w in zip(pts, _QW * el.area):
+    for coords, area in zip(grid.tri_coords, grid.tri_area):
+        pts = _QBARY @ coords
+        for (x, y), w in zip(pts, _QW * area):
             yield x, y, w
 
 

@@ -78,7 +78,7 @@ class SolverConfig:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.method not in ("newton", "chord", "modified", "semilinear"):
+        if self.method not in STEPPERS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -115,10 +115,14 @@ def residual(
 
 
 def jacobian(ops: FemOperators, state: State, tau: float) -> CsrMatrix:
-    """Exact Jacobian of F: [[tau (B(W) - R), M + tau S(U)], [K, -M]]."""
+    """Exact Jacobian of F: [[tau (B(W) - R), M + tau S(U)], [K, -M]].
+
+    It is the inner matrix newton forms at (U, W), built by ``_form_system``.
+    """
     S_U = assemble_S(ops.grid, state.U)
     B_W = assemble_B(ops.grid, state.W)
-    return block2x2(tau * (B_W - ops.R), ops.M + tau * S_U, ops.K, -ops.M)
+    _, matrix = _form_system(ops, tau, -tau * ops.R, S_U, B_W)
+    return matrix()
 
 
 @dataclass

@@ -188,6 +188,17 @@ def test_main_end_to_end(tmp_path):
     assert "snapshot_t0.5000.csv" in files
 
 
+def test_small_tau_snapshots_get_distinct_names(tmp_path):
+    # Four decimals would name the six states after 0.0000 and 0.0001 only.
+    out = tmp_path / "small_tau"
+    argv = ["--test", "2", "--method", "semilinear", "--n", "5", "--tau", "0.00002",
+            "--T", "0.0001", "--snapshot-every", "1", "--out", str(out)]
+    assert main(argv) == 0
+    snaps = sorted(p.name for p in out.iterdir() if p.name.startswith("snapshot"))
+    times = ["0.000000", "0.000020", "0.000040", "0.000060", "0.000080", "0.000100"]
+    assert snaps == [f"snapshot_t{t}.csv" for t in times]
+
+
 def test_outputs_deterministic_modulo_wall_time(tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -14,23 +14,25 @@ from hmfem import (
 def test_counts_2x2_cells():
     g = build_grid(1.0, 1.0, 3)
     assert g.N == 4
-    assert len(g.elements) == 8
+    assert g.tri_dofs.shape == (8, 3)
+    assert g.tri_coords.shape == (8, 3, 2)
+    assert g.tri_grads.shape == (8, 3, 2)
+    assert g.tri_area.shape == (8,)
     assert g.h == 0.5
 
 
 def test_counts_reference_scale():
     g = build_grid(1.0, 1.0, 17)
     assert g.N == 256
-    assert len(g.elements) == 512
+    assert len(g.tri_dofs) == len(g.tri_coords) == len(g.tri_grads) == 512
+    assert len(g.tri_area) == 512
 
 
 def test_spacing_and_six_element_support():
     g = build_grid(np.pi, np.pi, 33)
     assert g.h == pytest.approx(np.pi / 32)
-    counts = np.zeros(g.N, dtype=int)
-    for el in g.elements:
-        for d in el.dofs:
-            counts[d] += 1
+    counts = np.bincount(g.tri_dofs.ravel(), minlength=g.N)
+    assert len(counts) == g.N
     assert (counts == 6).all()
 
 
@@ -70,27 +72,26 @@ def test_dof_periodic_identification(i, j):
 
 def test_areas_and_vertex_bounds():
     g = build_grid(2.0, 2.0, 9)
-    areas = np.array([el.area for el in g.elements])
-    assert np.allclose(areas, g.h**2 / 2)
-    assert areas.sum() == pytest.approx(g.Lx * g.Ly)
-    for el in g.elements:
-        assert (el.coords >= 0).all()
-        assert (el.coords[:, 0] <= g.Lx).all()
-        assert (el.coords[:, 1] <= g.Ly).all()
+    assert np.allclose(g.tri_area, g.h**2 / 2)
+    assert g.tri_area.sum() == pytest.approx(g.Lx * g.Ly)
+    assert (g.tri_coords >= 0).all()
+    assert (g.tri_coords[:, :, 0] <= g.Lx).all()
+    assert (g.tri_coords[:, :, 1] <= g.Ly).all()
 
 
 def test_basis_gradients_sum_to_zero():
     g = build_grid(np.pi, np.pi, 7)
-    for el in g.elements:
-        assert np.allclose(el.grads.sum(axis=0), 0.0, atol=1e-14)
+    assert np.allclose(g.tri_grads.sum(axis=1), 0.0, atol=1e-14)
 
 
 def test_partition_of_unity():
     # phi_a(x) = 1 + grad_a . (x - v_a); the three local functions sum to 1
     # at the centroid and at every vertex.
     g = build_grid(1.5, 1.5, 5)
-    for el in g.elements:
-        pts = np.vstack([el.coords.mean(axis=0), el.coords])
-        for p in pts:
-            vals = [1.0 + el.grads[a] @ (p - el.coords[a]) for a in range(3)]
-            assert sum(vals) == pytest.approx(1.0, abs=1e-12)
+    coords, grads = g.tri_coords, g.tri_grads
+    # (element, point) rows: the centroid, then the three vertices.
+    pts = np.concatenate([coords.mean(axis=1, keepdims=True), coords], axis=1)
+    # vals[e, p, a] = 1 + grads[e, a] . (pts[e, p] - coords[e, a])
+    vals = 1.0 + np.einsum("ead,epad->epa", grads, pts[:, :, None] - coords[:, None])
+    assert vals.shape == (len(g.tri_dofs), 4, 3)
+    assert np.allclose(vals.sum(axis=2), 1.0, rtol=0, atol=1e-12)

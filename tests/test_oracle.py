@@ -3,6 +3,7 @@ import pytest
 
 from hmfem import (
     OracleSizeError,
+    ProblemSpec,
     SolverConfig,
     State,
     assemble_operators,
@@ -23,9 +24,25 @@ from hmfem.oracle import (
 )
 
 
-@pytest.mark.parametrize("n", [3, 5, 9])
-def test_dense_oracle_matches_sparse_operators(n):
-    spec = preset(2)
+# A 1 x 2 domain whose cells are twice as tall as wide, with both drift
+# components nonzero so that R tests both axes.
+RECT = ProblemSpec(
+    name="rect",
+    Lx=1.0,
+    Ly=2.0,
+    u0=lambda x, y: 1e-5 * np.sin(2 * np.pi * x) * np.cos(np.pi * y),
+    grad_p=lambda x, y: (12.0 * np.ones_like(x), 3.0 * np.ones_like(y)),
+    p_norm_1inf=15.0,
+)
+
+# Preset 2 (a square) at n = 3, 5, 9, and the rectangle at n = 7.
+CASES = [pytest.param(preset(2), n, id=str(n)) for n in (3, 5, 9)] + [
+    pytest.param(RECT, 7, id="rect-7")
+]
+
+
+@pytest.mark.parametrize("spec,n", CASES)
+def test_dense_oracle_matches_sparse_operators(spec, n):
     g = build_grid(spec.Lx, spec.Ly, n)
     U = np.random.default_rng(n).standard_normal(g.N)
     mismatch, ok = dense_operators_match(g, spec, U, rtol=1e-12)
@@ -110,9 +127,8 @@ def test_fd_machinery_is_second_order():
     assert e2 / e1 == pytest.approx(4.0, rel=0.05)
 
 
-@pytest.mark.parametrize("n", [3, 5, 9])
-def test_dense_newton_step_equivalence(n):
-    spec = preset(2)
+@pytest.mark.parametrize("spec,n", CASES)
+def test_dense_newton_step_equivalence(spec, n):
     g = build_grid(spec.Lx, spec.Ly, n)
     ops = assemble_operators(g, spec.grad_p)
     U0 = sample_nodes(spec, g)

@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import hmfem as hm
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -16,10 +18,20 @@ def run_script(monkeypatch, capsys, name):
 
 def test_compare_methods_prints_table(monkeypatch, capsys):
     header, rule, *rows = run_script(monkeypatch, capsys, "compare_methods.py")
-    for method in ("newton", "chord", "modified"):
+    methods = ("newton", "chord", "modified")
+    for method in methods:
         assert f"{method} iter" in header
+    assert header.split().count("corr") == 3
     assert set(rule) == {"-"}
     assert [row.split()[:2] for row in rows] == [["test", str(t)] for t in range(1, 6)]
+    # Per method: iter, relerr, LUs, corr, time(s); corr counts the run's
+    # defect corrections.
+    for t, row in enumerate(rows, start=1):
+        cells = row.split()[2:]
+        for i, method in enumerate(methods):
+            cfg = hm.SolverConfig(tau=0.1, tol=1e-6, k_max=20, method=method)
+            res = hm.run(hm.preset(t), cfg, T=0.2, snapshot_every=10**9, n=5)
+            assert int(cells[5 * i + 3]) == res.total_linear_iterations()
 
 
 def test_semilinear_blowup_prints_histories(monkeypatch, capsys):

@@ -144,13 +144,6 @@ def test_jacobian_at_zero_state(rng):
     assert np.array_equal(J, ref)
 
 
-def test_step_path_never_builds_element_view():
-    ops, s0 = initial_state(preset(2), 5)
-    for stepper in (step_newton, step_chord, step_modified, step_semilinear):
-        stepper(ops, s0, SolverConfig(tau=0.1))
-    assert "elements" not in vars(ops.grid)
-
-
 @pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
 def test_zero_state_is_fixed_point(stepper):
     ops, _ = initial_state(preset(2), 5)
