@@ -7,13 +7,15 @@ times excepted), so runs can be diffed and fed to any plotting tool.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .grid import DofGrid, build_grid
+# Unused here (snapshots use RunResult.grid); perfbench's tracer hooks this name.
+from .grid import DofGrid, build_grid  # noqa: F401
 from .integrate import DEFAULT_CAP, RunResult, check_run_inputs, run
 from .problems import preset
 from .solvers import STEPPERS, SolverConfig, State
@@ -78,20 +80,37 @@ def parse_args(argv) -> argparse.Namespace:
     return ns
 
 
-def emit_snapshot(state: State, grid: DofGrid, t: float, path) -> None:
+@functools.lru_cache(maxsize=8)
+def _snapshot_layout(n: int, Lx: float, Ly: float) -> tuple[np.ndarray, str]:
+    """The dof of each lattice node and the snapshot text with x, y filled in.
+
+    Nodes are ordered j-major then i; boundary rows and columns map to their
+    identified dofs.  The template keeps ``%.17g,%.17g`` in place of u,w.
+    """
+    m = n - 1
+    k = np.arange(n) % m  # the dof row/column of each lattice line
+    dofs = (k[:, None] * m + k[None, :]).ravel()
+    dofs.flags.writeable = False  # shared by every snapshot of this grid
+    xs = np.linspace(0.0, Lx, n).tolist()  # as DofGrid.xs / ys
+    ys = np.linspace(0.0, Ly, n).tolist()
+    rows = [f"{x:.17g},{y:.17g},%.17g,%.17g" for y in ys for x in xs]
+    return dofs, "x,y,u,w\n" + "\n".join(rows) + "\n"
+
+
+def emit_snapshot(state: State, grid: DofGrid, path) -> None:
     """Write one state as CSV over the full n x n node lattice.
 
     Boundary rows and columns are replicated from their identified dofs;
     rows are ordered j-major then i; 17 significant digits round-trip
-    float64 exactly.
+    float64 exactly.  The lattice layout and the x,y text are built once
+    per grid (n, Lx, Ly); each call only formats u and w into it, and the
+    bytes are those of formatting every value with ``.17g``.
     """
-    n, m = grid.n, grid.n - 1
-    k = np.arange(n) % m  # the dof row/column of each lattice line
-    d = (k[:, None] * m + k[None, :]).ravel()  # dof_of_node, j-major then i
-    columns = (np.tile(grid.xs, n), np.repeat(grid.ys, n), state.U[d], state.W[d])
-    rows = zip(*(c.tolist() for c in columns))
-    lines = [f"{x:.17g},{y:.17g},{u:.17g},{w:.17g}" for x, y, u, w in rows]
-    Path(path).write_text("x,y,u,w\n" + "\n".join(lines) + "\n")
+    dofs, template = _snapshot_layout(grid.n, grid.Lx, grid.Ly)
+    values = np.empty(2 * len(dofs))
+    values[0::2] = state.U[dofs]
+    values[1::2] = state.W[dofs]
+    Path(path).write_text(template % tuple(values.tolist()))
 
 
 def emit_convergence_log(result: RunResult, path) -> None:
@@ -127,11 +146,10 @@ def main(argv=None) -> int:
         cap=cfg.cap,
     )
 
-    grid = build_grid(problem.Lx, problem.Ly, cfg.n)
     # Enough decimals that consecutive steps get distinct names, at least 4.
     decimals = max(4, 1 - math.floor(math.log10(cfg.tau)))
     for t, state in zip(result.state_times, result.states):
-        emit_snapshot(state, grid, t, out / f"snapshot_t{t:.{decimals}f}.csv")
+        emit_snapshot(state, result.grid, out / f"snapshot_t{t:.{decimals}f}.csv")
     emit_convergence_log(result, out / "convergence.csv")
 
     print(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import FemOperators, assemble_operators
 from .errors import NonFiniteError, SingularMatrixError
-from .grid import build_grid
+from .grid import DofGrid, build_grid
 from .problems import ProblemSpec, sample_nodes
 from .solvers import (
     SolverConfig,
@@ -52,8 +52,9 @@ class RunResult:
     ``times`` and ``diagnostics`` cover t = 0 and every accepted step;
     ``reports`` has one entry per step; ``states`` holds the snapshots taken
     at ``state_times`` (t = 0, every ``snapshot_every`` steps, and the final
-    state).  ``failure`` keeps the message of the error that ended a run
-    with ``solver_failure`` or ``non_finite``, and is None otherwise.
+    state) as dof vectors on ``grid``, the grid the run built.  ``failure``
+    keeps the message of the error that ended a run with ``solver_failure``
+    or ``non_finite``, and is None otherwise.
     """
 
     times: list[float]
@@ -62,6 +63,7 @@ class RunResult:
     reports: list[StepReport]
     diagnostics: list[Diagnostics]
     stop_reason: str  # reached_T | amplitude_cap | solver_failure | non_finite
+    grid: DofGrid
     tau_report: dict = field(default_factory=dict)
     failure: str | None = None
 
@@ -146,6 +148,7 @@ def run(
         reports=[],
         diagnostics=[_diagnose(ops, state)],
         stop_reason="reached_T",
+        grid=grid,
         tau_report=tau_bound_report(ops, state, cfg.tau, problem.p_norm_1inf, T),
     )
 

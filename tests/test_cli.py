@@ -84,7 +84,7 @@ def test_snapshot_zero_state(tmp_path):
     g = build_grid(1.0, 1.0, 3)
     st = State(np.zeros(g.N), np.zeros(g.N))
     path = tmp_path / "snap.csv"
-    emit_snapshot(st, g, 0.0, path)
+    emit_snapshot(st, g, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x,y,u,w"
     assert len(lines) == 1 + 9  # full 3x3 lattice
@@ -98,7 +98,7 @@ def test_snapshot_periodic_replication(tmp_path):
     rng = np.random.default_rng(0)
     st = State(rng.standard_normal(g.N), rng.standard_normal(g.N))
     path = tmp_path / "snap.csv"
-    emit_snapshot(st, g, 0.0, path)
+    emit_snapshot(st, g, path)
     rows = [l.split(",") for l in path.read_text().strip().split("\n")[1:]]
     # row order is j-major then i: row index = j*n + i
     def row(i, j):
@@ -115,7 +115,7 @@ def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     st = State(rng.standard_normal(g.N) * 1e-5, rng.standard_normal(g.N))
     path = tmp_path / "snap.csv"
-    emit_snapshot(st, g, 1.0, path)
+    emit_snapshot(st, g, path)
     rows = [l.split(",") for l in path.read_text().strip().split("\n")[1:]]
     U_back = np.empty(g.N)
     W_back = np.empty(g.N)
@@ -149,9 +149,66 @@ def test_snapshot_matches_per_node_loop(tmp_path, n):
     U = rng.standard_normal(g.N) * 1e-7
     U[0] = -0.0
     st = State(U, -rng.standard_normal(g.N))
-    emit_snapshot(st, g, 0.5, tmp_path / "new.csv")
+    emit_snapshot(st, g, tmp_path / "new.csv")
     emit_snapshot_loop(st, g, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_snapshot_layout_cache_keyed_by_grid(tmp_path):
+    # Grids differing only in n, and with the same n but another Lx/Ly, in
+    # turn; the states hold the edges of the .17g format.
+    grids = [build_grid(*a) for a in [(1.0, 1.0, 5), (np.pi, 2.0, 5), (np.pi, 2.0, 9)]]
+    edges = [-0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308]
+    rng = np.random.default_rng(7)
+    for k, g in enumerate(grids * 2):
+        U = rng.standard_normal(g.N) * 10.0 ** rng.integers(-300, 300, g.N)
+        W = rng.standard_normal(g.N)
+        U[: len(edges)] = edges
+        W[-len(edges) :] = edges
+        st = State(U, W)
+        emit_snapshot(st, g, tmp_path / f"new{k}.csv")
+        emit_snapshot_loop(st, g, tmp_path / f"old{k}.csv")
+        new = (tmp_path / f"new{k}.csv").read_bytes()
+        assert new == (tmp_path / f"old{k}.csv").read_bytes()
+        assert b"-0," in new and b"4.9406564584124654e-324" in new
+
+
+def test_main_snapshots_each_state_on_the_run_grid(tmp_path, monkeypatch):
+    import hmfem.cli as cli
+    import hmfem.integrate as integrate
+
+    calls = {"emit_snapshot": [], "build_grid": 0, "run": []}
+    emit, build, run_ = cli.emit_snapshot, integrate.build_grid, cli.run
+
+    def spy_emit(state, grid, path):
+        calls["emit_snapshot"].append((state, grid, path))
+        emit(state, grid, path)
+
+    def spy_build(*args):
+        calls["build_grid"] += 1
+        return build(*args)
+
+    def spy_run(*args, **kwargs):
+        calls["run"].append(run_(*args, **kwargs))
+        return calls["run"][-1]
+
+    monkeypatch.setattr(cli, "emit_snapshot", spy_emit)
+    for mod in (integrate, cli):  # every name a grid can be built through
+        monkeypatch.setattr(mod, "build_grid", spy_build)
+    monkeypatch.setattr(cli, "run", spy_run)
+    out = tmp_path / "e2e"
+    argv = ["--test", "2", "--n", "5", "--snapshot-every", "1", "--T", "0.3",
+            "--out", str(out)]  # fmt: skip
+    assert main(argv) == 0
+
+    assert calls["build_grid"] == 1
+    (result,) = calls["run"]
+    assert len(result.states) == 4  # t = 0 and three steps
+    assert len(calls["emit_snapshot"]) == len(result.states)
+    for i, (state, grid, path) in enumerate(calls["emit_snapshot"]):
+        assert state is result.states[i] and grid is result.grid
+        emit_snapshot_loop(state, grid, tmp_path / "ref.csv")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_convergence_log_contents(tmp_path):
@@ -238,6 +295,7 @@ def test_main_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
                 reports=[],
                 diagnostics=[],
                 stop_reason=reason,
+                grid=build_grid(1.0, 1.0, 5),
                 failure="synthetic message",
             )
 
