@@ -50,13 +50,6 @@ from .solvers import (
     step_semilinear,
     tau_bound_report,
 )
-from .sparse import (
-    CsrMatrix,
-    block2x2,
-    from_triplets,
-    m_norm,
-    matvec,
-    solve,
-)
+from .sparse import CsrMatrix, block2x2, m_norm, matvec
 
 __version__ = "0.1.0"

@@ -34,6 +34,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_CAP = 0.3
 
+#: The most steps a run takes.  A run keeps about 0.5 KB of records per step,
+#: so this bounds them near 0.5 GB before snapshots; the paper's long runs
+#: take thousands of steps.
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -113,8 +118,11 @@ def check_run_inputs(cfg: SolverConfig, T: float, snapshot_every: int, cap: floa
     """Raise ValueError unless T, T/tau, cap and snapshot_every suit a run."""
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"end time must be finite and nonnegative, got {T}")
-    if not math.isfinite(T / cfg.tau):
-        raise ValueError(f"step count T/tau must be finite, got {T}/{cfg.tau}")
+    if not T / cfg.tau <= MAX_STEPS:
+        raise ValueError(
+            f"step count T/tau must be finite and at most {MAX_STEPS}, "
+            f"got {T}/{cfg.tau}"
+        )
     if not math.isfinite(cap):
         raise ValueError(f"amplitude cap must be finite, got {cap}")
     if snapshot_every < 1:

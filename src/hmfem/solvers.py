@@ -157,11 +157,15 @@ def cached_solver(ops: FemOperators, name: str) -> SpectralSolver:
 
 
 def _cached_elimination(ops: FemOperators, tau: float, work: _Work):
-    """-tau R and the LU of K - tau R, built once per tau; the LU counts in ``work``."""
+    """-tau R and the LU of K - tau R, built once per tau; the LU counts in ``work``.
+
+    K - tau R is formed on the grid's pattern, as every step matrix is.
+    """
     key = ("K - tau R", tau)
     if key not in ops.cache:
         neg_tau_R = -tau * ops.R
-        ops.cache[key] = neg_tau_R, SparseLu(ops.K + neg_tau_R)
+        K_tau_R = replace(ops.K, values=ops.K.values + neg_tau_R.values)
+        ops.cache[key] = neg_tau_R, SparseLu(K_tau_R)
         work.n_factor += 1
     return ops.cache[key]
 

@@ -1,9 +1,13 @@
 """CSR matrices, block composition, defect correction, LU and FFT inverses, the mass norm.
 
-Matrices are immutable after construction.  scipy.sparse does the heavy
-lifting behind the container; accumulation and solve paths are deterministic
-for identical inputs.  ``defect_correction`` is the one refinement loop:
-``SparseLu`` and ``SpectralSolver`` supply the inverses it corrects with.
+Matrices are immutable after construction.  Every operator and step matrix
+of a run lies on the grid's one sparsity pattern, so a sum of them is a sum
+of value arrays, ``replace(A, values=...)``, and ``CsrMatrix`` offers no
+algebra beyond scaling.  ``block2x2``, through ``from_scipy``, is the one
+way off that pattern: it builds the 2N x 2N matrix of the LU fallback.
+scipy.sparse does products and factorizations behind the container.
+``defect_correction`` is the one refinement loop: ``SparseLu`` and
+``SpectralSolver`` supply the inverses it corrects with.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import NotSpdError, ShapeError, SingularMatrixError
 #: Floor used in relative-residual denominators, guards b = 0.
 EPS_FLOOR = 1e-300
 
-#: Relative residual contract for solve().
+#: Relative residual contract of every solve (``defect_correction``).
 SOLVE_RTOL = 1e-10
 
 #: ``defect_correction`` stops once the relative residual is at round-off, or
@@ -67,16 +71,6 @@ class CsrMatrix:
     def to_dense(self) -> np.ndarray:
         return self._sp.toarray()
 
-    def __add__(self, other: "CsrMatrix") -> "CsrMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError("matrix sum needs equal shapes")
-        return CsrMatrix.from_scipy(self._sp + other._sp)
-
-    def __sub__(self, other: "CsrMatrix") -> "CsrMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError("matrix difference needs equal shapes")
-        return CsrMatrix.from_scipy(self._sp - other._sp)
-
     def __mul__(self, alpha: float) -> "CsrMatrix":
         return CsrMatrix(
             self.nrows,
@@ -90,22 +84,6 @@ class CsrMatrix:
 
     def __neg__(self) -> "CsrMatrix":
         return self * -1.0
-
-
-def from_triplets(nrows, ncols, triplets) -> CsrMatrix:
-    """Build a CSR matrix from (row, col, value) triplets; duplicates are summed."""
-    triplets = list(triplets)
-    if triplets:
-        rows, cols, vals = (np.asarray(a) for a in zip(*triplets))
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0)
-    if rows.size and (
-        rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols
-    ):
-        raise IndexError("triplet index outside matrix shape")
-    coo = sp.coo_matrix((vals.astype(float), (rows, cols)), shape=(nrows, ncols))
-    return CsrMatrix.from_scipy(coo)
 
 
 def matvec(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -127,14 +105,14 @@ def block2x2(A11: CsrMatrix, A12: CsrMatrix, A21: CsrMatrix, A22: CsrMatrix) -> 
     )
 
 
-def defect_correction(b, apply, precond, pivot=0.0):
+def defect_correction(b, apply, precond):
     """Solve ``A x = b`` by defect correction, ``x += P (b - A x)``.
 
     ``apply(x)`` is ``A x``; ``precond`` applies P, the exact or approximate
     inverse of a nearby matrix.  Corrections continue while the residual at
     least halves and lies above round-off, at most 20 times.  The result must
     then honor ||Ax-b|| / max(||b||, eps) <= 1e-10, or ``SingularMatrixError``
-    is raised with ``pivot`` and the corrections; a NaN residual never passes.
+    is raised with the corrections made; a NaN residual never passes.
     Returns x and the number of corrections.
     """
     bnorm = max(np.linalg.norm(b), EPS_FLOOR)
@@ -154,7 +132,7 @@ def defect_correction(b, apply, precond, pivot=0.0):
         x, r, res = x_new, r_new, res_new
     if not res <= SOLVE_RTOL:
         msg = f"solve residual {res:.3e} exceeds contract {SOLVE_RTOL:.0e}"
-        raise SingularMatrixError(msg, pivot=pivot, corrections=k)
+        raise SingularMatrixError(msg, corrections=k)
     return x, k
 
 
@@ -176,7 +154,7 @@ class SparseLu:
             self._lu = spla.splu(A._sp.tocsc(), permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:  # scipy reports exact singularity this way
             raise SingularMatrixError(f"singular matrix: {exc}", pivot=0.0) from exc
-        self._pivot = _checked_pivot(self._lu.U.diagonal())
+        _checked_pivot(self._lu.U.diagonal())
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
         return self._lu.solve(r)
@@ -186,7 +164,7 @@ class SparseLu:
         if b.shape != (self.n,):
             raise ShapeError(f"rhs needs length {self.n}, got shape {b.shape}")
         x, self.corrections = defect_correction(
-            b, partial(matvec, self._A), self.apply_inverse, self._pivot
+            b, partial(matvec, self._A), self.apply_inverse
         )
         return x
 
@@ -221,8 +199,8 @@ class SpectralSolver:
         return np.fft.irfft(np.fft.ifft(rhat, axis=0), n=m).reshape(-1)
 
 
-def _checked_pivot(diagonal: np.ndarray) -> float:
-    """The smallest pivot or eigenvalue modulus; refuse one below 1e-14 relative."""
+def _checked_pivot(diagonal: np.ndarray) -> None:
+    """Refuse a smallest pivot or eigenvalue modulus below 1e-14 relative."""
     d = np.abs(diagonal)
     dmax = float(d.max()) if d.size else 0.0
     pivot = float(d.min()) if d.size else 0.0
@@ -230,12 +208,6 @@ def _checked_pivot(diagonal: np.ndarray) -> float:
         raise SingularMatrixError(
             f"matrix singular to working precision (pivot {pivot:.3e})", pivot=pivot
         )
-    return pivot
-
-
-def solve(A: CsrMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b; the result satisfies ||Ax-b|| / max(||b||, eps) <= 1e-10."""
-    return SparseLu(A).solve(b)
 
 
 def m_norm(M: CsrMatrix, v: np.ndarray) -> float:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hmfem import SolverConfig, State, build_grid, dof_of_node, preset, run
 from hmfem.cli import emit_convergence_log, emit_snapshot, main, parse_args
+from hmfem.integrate import MAX_STEPS
 
 
 def test_parse_defaults():
@@ -59,7 +60,7 @@ def test_numeric_flags_parse_finite_or_exit_2(tau, T, tol, cap):
         and tau > 0
         and T >= 0
         and tol > 0
-        and math.isfinite(T / tau)
+        and T / tau <= MAX_STEPS
     )
     if not valid:
         with pytest.raises(SystemExit) as exc:
@@ -68,7 +69,18 @@ def test_numeric_flags_parse_finite_or_exit_2(tau, T, tol, cap):
         return
     cfg = parse_args(argv + ["--out", "d"])
     assert (cfg.tau, cfg.T, cfg.tol, cfg.cap) == (tau, T, tol, cap)
-    assert math.isfinite(cfg.T / cfg.tau)
+    assert cfg.T / cfg.tau <= MAX_STEPS
+
+
+def test_step_count_beyond_bound_is_a_usage_error(tmp_path, capsys):
+    # A mistyped end time must not start a run that never ends.
+    out = tmp_path / "d"
+    argv = ["--test", "1", "--n", "5", "--tau", "1", "--T", "1e300", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"at most {MAX_STEPS}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--tau", "--T", "--tol", "--cap"])

@@ -12,6 +12,7 @@ from hmfem import (
     run,
     sample_nodes,
 )
+from hmfem.integrate import DEFAULT_CAP, MAX_STEPS, check_run_inputs
 from hmfem.problems import ProblemSpec
 
 
@@ -52,11 +53,20 @@ def test_run_T_zero():
         {"T": 1.0, "cap": float("nan")},
         {"T": 1.0, "cap": float("inf")},
         {"T": 1e308},  # finite, but T/tau overflows at tau = 0.1
+        {"T": 1e300},  # 1e301 steps: finite, but above MAX_STEPS
     ],
 )
 def test_run_rejects_non_finite(kwargs):
     with pytest.raises(ValueError, match="finite"):
         run(preset(1), SolverConfig(tau=0.1), n=5, **kwargs)
+
+
+def test_step_bound_admits_exactly_max_steps():
+    # Validated only: a run of MAX_STEPS steps is accepted, one more is not.
+    cfg = SolverConfig(tau=0.5)
+    check_run_inputs(cfg, 0.5 * MAX_STEPS, 1, DEFAULT_CAP)
+    with pytest.raises(ValueError, match="at most"):
+        check_run_inputs(cfg, 0.5 * (MAX_STEPS + 1), 1, DEFAULT_CAP)
 
 
 def test_run_times_and_counts():

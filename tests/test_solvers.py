@@ -22,7 +22,6 @@ from hmfem import (
     residual,
     run,
     sample_nodes,
-    solve,
     step_chord,
     step_modified,
     step_newton,
@@ -92,7 +91,7 @@ def test_residual_decoupled_projection(rng):
     # tau = 0 with W solving M W = K U and Z = M W gives F = 0 exactly.
     ops, _ = initial_state(preset(2), 7)
     U = rng.standard_normal(ops.grid.N)
-    W = solve(ops.M, matvec(ops.K, U))
+    W = SparseLu(ops.M).solve(matvec(ops.K, U))
     Z = matvec(ops.M, W)
     F = residual(ops, assemble_S(ops.grid, U), State(U, W), Z, tau=0.0)
     assert np.linalg.norm(F) <= 1e-10 * max(np.linalg.norm(Z), 1.0)
@@ -121,10 +120,8 @@ def test_jacobian_tau_zero_state_independent(rng):
     J1 = jacobian(ops, st1, 0.0).to_dense()
     J2 = jacobian(ops, st2, 0.0).to_dense()
     assert np.array_equal(J1, J2)
-    from hmfem import from_triplets
-
-    zero = from_triplets(N, N, [])
-    ref = block2x2(zero, ops.M, ops.K, -ops.M).to_dense()
+    Md, Kd = ops.M.to_dense(), ops.K.to_dense()
+    ref = np.block([[np.zeros((N, N)), Md], [Kd, -Md]])
     assert np.allclose(J1, ref, atol=1e-15)
 
 
@@ -133,14 +130,17 @@ def test_jacobian_at_zero_state(rng):
     N = ops.grid.N
     tau = 0.2
     J = jacobian(ops, State(np.zeros(N), np.zeros(N)), tau).to_dense()
-    ref = block2x2(-tau * ops.R, ops.M, ops.K, -ops.M).to_dense()
+    Md, Kd, Rd = ops.M.to_dense(), ops.K.to_dense(), ops.R.to_dense()
+    ref = np.block([[-tau * Rd, Md], [Kd, -Md]])
     assert np.allclose(J, ref, atol=1e-15)
-    # A nonzero state checks the block layout entry for entry, built
-    # independently of the step matrix; the (1,1) block is tau (B - R).
+    # A nonzero state checks the block layout entry for entry, built from
+    # dense blocks independently of the step matrix; the (1,1) block is
+    # tau (B - R).  The same floats are summed, so the match is exact.
     U, W = rng.standard_normal(N), rng.standard_normal(N)
     J = jacobian(ops, State(U, W), tau).to_dense()
-    B, S = assemble_B(ops.grid, W), assemble_S(ops.grid, U)
-    ref = block2x2(tau * (B - ops.R), ops.M + tau * S, ops.K, -ops.M).to_dense()
+    Bd = assemble_B(ops.grid, W).to_dense()
+    Sd = assemble_S(ops.grid, U).to_dense()
+    ref = np.block([[tau * (Bd - Rd), Md + tau * Sd], [Kd, -Md]])
     assert np.array_equal(J, ref)
 
 
@@ -278,9 +278,10 @@ def test_modified_fixed_point_property():
     # Re-applying the converged state's own iteration map reproduces it.
     N = ops.grid.N
     Z = matvec(ops.M, s0.W)
-    S_star = assemble_S(ops.grid, state.U)
-    J = block2x2(-cfg.tau * ops.R, ops.M + cfg.tau * S_star, ops.K, -ops.M)
-    sol = solve(J, np.concatenate([Z, np.zeros(N)]))
+    Md, Kd, Rd = ops.M.to_dense(), ops.K.to_dense(), ops.R.to_dense()
+    Sd = assemble_S(ops.grid, state.U).to_dense()
+    J = np.block([[-cfg.tau * Rd, Md + cfg.tau * Sd], [Kd, -Md]])
+    sol = np.linalg.solve(J, np.concatenate([Z, np.zeros(N)]))
     assert np.linalg.norm(sol[:N] - state.U) / np.linalg.norm(state.U) < cfg.tol
 
 
@@ -342,6 +343,43 @@ def test_cache_holds_only_lus(monkeypatch, stepper):
     assert isinstance(lu, SparseLu) and lu.n == ops.grid.N
     assert np.array_equal(neg_tau_R.values, -0.1 * ops.R.values)
     assert len(used) >= 2 and all(u is neg_tau_R for u in used)
+
+
+@pytest.mark.parametrize("method", ["newton", "modified"])
+def test_step_matrices_share_the_grid_pattern(monkeypatch, method):
+    # D, C and the K - tau R given to the LU are sums of operators on the
+    # grid's one pattern: they hold its index arrays, not copies.
+    import hmfem.solvers as sv
+
+    ops, s0 = initial_state(preset(5), 9)
+    grid, tau = ops.grid, 0.1
+    multiplied, factored = [], []
+    original_matvec, original_init = sv.matvec, SparseLu.__init__
+
+    def recording_matvec(A, x):
+        multiplied.append(A)
+        return original_matvec(A, x)
+
+    def recording_init(self, A):
+        factored.append(A)
+        original_init(self, A)
+
+    monkeypatch.setattr(sv, "matvec", recording_matvec)
+    monkeypatch.setattr(SparseLu, "__init__", recording_init)
+    sv.STEPPERS[method](ops, s0, SolverConfig(tau=tau))
+    [KR] = factored
+    assert np.array_equal(KR.values, ops.K.values + -tau * ops.R.values)
+    S0 = assemble_S(grid, s0.U)
+    D = ops.M.values + tau * S0.values
+    if method == "newton":
+        C = tau * (assemble_B(grid, s0.W).values - ops.R.values)
+    else:
+        C = -tau * ops.R.values
+    assert any(np.array_equal(A.values, D) for A in multiplied)
+    assert any(np.array_equal(A.values, C) for A in multiplied)
+    for A in multiplied + factored:
+        assert A.row_offsets is grid.csr_indptr
+        assert A.col_indices is grid.csr_indices
 
 
 def test_chord_divergence_stops_as_non_finite():

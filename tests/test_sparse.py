@@ -1,11 +1,12 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import scipy.sparse as sp
 
 from hmfem import (
+    CsrMatrix,
     NotSpdError,
     ShapeError,
     SingularMatrixError,
@@ -14,60 +15,32 @@ from hmfem import (
     assemble_stiffness,
     block2x2,
     build_grid,
-    from_triplets,
     m_norm,
     matvec,
     preset,
-    solve,
 )
 from hmfem.sparse import SparseLu, SpectralSolver, defect_correction
 
 
-def dense_of(triplets, shape):
-    d = np.zeros(shape)
-    for r, c, v in triplets:
-        d[r, c] += v
+def csr(dense) -> CsrMatrix:
+    """A CsrMatrix holding the nonzeros of a dense array."""
+    return CsrMatrix.from_scipy(sp.csr_matrix(np.asarray(dense, dtype=float)))
+
+
+def random_dense(rng, n, count):
+    """An n x n array with ``count`` random entries, repeats summed."""
+    d = np.zeros((n, n))
+    rows, cols = rng.integers(0, n, count), rng.integers(0, n, count)
+    np.add.at(d, (rows, cols), rng.standard_normal(count))
     return d
 
 
-def test_duplicates_summed():
-    m = from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
-    assert m.nnz == 1
-    assert m.to_dense()[0, 0] == 3.0
-
-
-def test_empty_matrix():
-    m = from_triplets(2, 2, [])
-    assert m.nnz == 0
-    assert (m.to_dense() == 0).all()
-
-
-def test_out_of_range_triplet():
-    with pytest.raises(IndexError):
-        from_triplets(2, 2, [(0, 2, 1.0)])
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 5),
-            st.integers(0, 5),
-            st.floats(-10, 10, allow_nan=False),
-        ),
-        max_size=40,
+def test_csr_invariants(rng):
+    # Unsorted coordinates with repeats: from_scipy sums them and sorts rows.
+    rows, cols = rng.integers(0, 8, 60), rng.integers(0, 8, 60)
+    m = CsrMatrix.from_scipy(
+        sp.coo_matrix((rng.standard_normal(60), (rows, cols)), shape=(8, 8))
     )
-)
-@settings(max_examples=50, deadline=None)
-def test_from_triplets_matches_dense_accumulation(triplets):
-    m = from_triplets(6, 6, triplets)
-    assert np.allclose(m.to_dense(), dense_of(triplets, (6, 6)), atol=1e-12)
-
-
-def test_csr_invariants():
-    rng = np.random.default_rng(0)
-    trips = [(int(r), int(c), float(v)) for r, c, v in
-             zip(rng.integers(0, 8, 60), rng.integers(0, 8, 60), rng.standard_normal(60))]
-    m = from_triplets(8, 8, trips)
     assert m.row_offsets[0] == 0
     assert (np.diff(m.row_offsets) >= 0).all()
     assert m.nnz == len(m.values) == len(m.col_indices)
@@ -77,40 +50,37 @@ def test_csr_invariants():
 
 
 def test_matvec_identity_and_zero(rng):
-    eye = from_triplets(4, 4, [(i, i, 1.0) for i in range(4)])
+    eye = csr(np.eye(4))
     x = rng.standard_normal(4)
     assert np.array_equal(matvec(eye, x), x)
-    zero = from_triplets(4, 4, [])
+    zero = csr(np.zeros((4, 4)))
     assert (matvec(zero, x) == 0).all()
 
 
 def test_matvec_matches_dense(rng):
-    trips = [(int(r), int(c), float(v)) for r, c, v in
-             zip(rng.integers(0, 10, 80), rng.integers(0, 10, 80), rng.standard_normal(80))]
-    m = from_triplets(10, 10, trips)
+    d = random_dense(rng, 10, 80)
+    m = csr(d)
     x = rng.standard_normal(10)
-    ref = dense_of(trips, (10, 10)) @ x
+    ref = d @ x
     assert np.linalg.norm(matvec(m, x) - ref) <= 1e-14 * max(np.linalg.norm(ref), 1.0)
 
 
 def test_matvec_shape_error():
-    m = from_triplets(3, 4, [(0, 0, 1.0)])
+    m = csr(np.eye(3, 4))
     with pytest.raises(ShapeError):
         matvec(m, np.zeros(3))
 
 
 def test_matvec_deterministic(rng):
-    trips = [(int(r), int(c), float(v)) for r, c, v in
-             zip(rng.integers(0, 10, 80), rng.integers(0, 10, 80), rng.standard_normal(80))]
-    m = from_triplets(10, 10, trips)
+    d = random_dense(rng, 10, 80)
+    m = csr(d)
     x = rng.standard_normal(10)
     assert np.array_equal(matvec(m, x), matvec(m, x))
 
 
 def test_matvec_distributes_over_addition(rng):
-    trips = [(int(r), int(c), float(v)) for r, c, v in
-             zip(rng.integers(0, 10, 80), rng.integers(0, 10, 80), rng.standard_normal(80))]
-    m = from_triplets(10, 10, trips)
+    d = random_dense(rng, 10, 80)
+    m = csr(d)
     x = rng.standard_normal(10)
     y = rng.standard_normal(10)
     lhs = matvec(m, x + y)
@@ -119,7 +89,7 @@ def test_matvec_distributes_over_addition(rng):
 
 
 def test_block2x2_identities():
-    eye = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
+    eye = csr(np.eye(3))
     J = block2x2(eye, eye, eye, eye)
     d = J.to_dense()
     assert J.nrows == J.ncols == 6
@@ -129,10 +99,8 @@ def test_block2x2_identities():
 
 
 def test_block2x2_block_diagonal_matvec(rng):
-    trips = [(int(r), int(c), float(v)) for r, c, v in
-             zip(rng.integers(0, 4, 12), rng.integers(0, 4, 12), rng.standard_normal(12))]
-    A = from_triplets(4, 4, trips)
-    Z = from_triplets(4, 4, [])
+    A = csr(random_dense(rng, 4, 12))
+    Z = csr(np.zeros((4, 4)))
     J = block2x2(A, Z, Z, A)
     x = rng.standard_normal(8)
     expect = np.concatenate([matvec(A, x[:4]), matvec(A, x[4:])])
@@ -140,11 +108,7 @@ def test_block2x2_block_diagonal_matvec(rng):
 
 
 def test_block2x2_dense_concatenation(rng):
-    blocks = []
-    for _ in range(4):
-        trips = [(int(r), int(c), float(v)) for r, c, v in
-                 zip(rng.integers(0, 3, 9), rng.integers(0, 3, 9), rng.standard_normal(9))]
-        blocks.append(from_triplets(3, 3, trips))
+    blocks = [csr(random_dense(rng, 3, 9)) for _ in range(4)]
     J = block2x2(*blocks)
     ref = np.block(
         [[blocks[0].to_dense(), blocks[1].to_dense()],
@@ -154,25 +118,24 @@ def test_block2x2_dense_concatenation(rng):
 
 
 def test_block2x2_shape_error():
-    a = from_triplets(2, 2, [(0, 0, 1.0)])
-    b = from_triplets(3, 3, [(0, 0, 1.0)])
+    a = csr(np.eye(2))
+    b = csr(np.eye(3))
     with pytest.raises(ShapeError):
         block2x2(a, b, a, b)
 
 
 def test_solve_identity_and_diagonal():
-    eye = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
     b = np.array([3.0, -4.0])
-    assert np.allclose(solve(eye, b), b)
-    d = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 4.0)])
-    assert np.allclose(solve(d, np.array([2.0, 4.0])), [1.0, 1.0])
+    assert np.allclose(SparseLu(csr(np.eye(2))).solve(b), b)
+    d = csr(np.diag([2.0, 4.0]))
+    assert np.allclose(SparseLu(d).solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
 
 def test_solve_residual_contract_on_spd(rng):
     g = build_grid(1.0, 1.0, 9)
-    K = assemble_mass(g) + assemble_stiffness(g)
+    K = assemble_operators(g, preset(2).grad_p).K
     b = rng.standard_normal(g.N)
-    x = solve(K, b)
+    x = SparseLu(K).solve(b)
     assert np.linalg.norm(matvec(K, x) - b) / np.linalg.norm(b) <= 1e-10
 
 
@@ -181,30 +144,29 @@ def test_solve_non_finite_rhs_raises():
     b = np.ones(g.N)
     b[3] = np.nan
     with pytest.raises(SingularMatrixError):
-        solve(assemble_mass(g), b)
+        SparseLu(assemble_mass(g)).solve(b)
 
 
 def test_defect_correction_against_another_matrix(rng):
     g = build_grid(1.0, 1.0, 9)
-    M = assemble_mass(g)
+    M, A = assemble_mass(g), assemble_stiffness(g)
     lu = SparseLu(M)
     b = rng.standard_normal(g.N)
     # A nearby matrix: corrections reach round-off, as a direct solve does.
-    near = M + 1e-4 * assemble_stiffness(g)
+    near = replace(M, values=M.values + 1e-4 * A.values)
     x, corrections = defect_correction(b, lambda v: matvec(near, v), lu.apply_inverse)
     assert corrections >= 2
     assert np.linalg.norm(matvec(near, x) - b) <= 1e-14 * np.linalg.norm(b)
-    assert np.allclose(x, solve(near, b), rtol=0, atol=1e-12 * np.abs(x).max())
+    assert np.allclose(x, SparseLu(near).solve(b), rtol=0, atol=1e-12 * np.abs(x).max())
     # A far one: the correction diverges and the contract check refuses it.
-    far = M + 1e3 * assemble_stiffness(g)
+    far = replace(M, values=M.values + 1e3 * A.values)
     with pytest.raises(SingularMatrixError):
         defect_correction(b, lambda v: matvec(far, v), lu.apply_inverse)
 
 
 def test_solve_singular():
-    sing = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
     with pytest.raises(SingularMatrixError) as exc:
-        solve(sing, np.ones(2))
+        SparseLu(csr(np.ones((2, 2))))
     assert exc.value.pivot >= 0.0
 
 
@@ -228,15 +190,16 @@ def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
     spec = preset(5)
     ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 17), spec.grad_p)
     b = rng.standard_normal(ops.grid.N)
-    near = ops.K - 0.1 * ops.R
+    K, R = ops.K, ops.R
+    near = replace(K, values=K.values - 0.1 * R.values)
     x, corrections = defect_correction(
         b, partial(matvec, near), SpectralSolver(near).apply_inverse
     )
     assert corrections >= 2
     assert np.linalg.norm(matvec(near, x) - b) <= 1e-10 * np.linalg.norm(b)
-    assert np.allclose(x, solve(near, b), rtol=0, atol=1e-12 * np.abs(x).max())
+    assert np.allclose(x, SparseLu(near).solve(b), rtol=0, atol=1e-12 * np.abs(x).max())
     # At tau = 10 the correction diverges, and the contract refuses it.
-    far = ops.K - 10.0 * ops.R
+    far = replace(K, values=K.values - 10.0 * R.values)
     with pytest.raises(SingularMatrixError) as exc:
         defect_correction(b, partial(matvec, far), SpectralSolver(far).apply_inverse)
     assert exc.value.corrections == 1
@@ -271,6 +234,6 @@ def test_m_norm_cauchy_schwarz(rng):
 
 
 def test_m_norm_rejects_indefinite():
-    neg = from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -1.0)])
+    neg = csr(-np.eye(2))
     with pytest.raises(NotSpdError):
         m_norm(neg, np.ones(2))
