@@ -34,8 +34,10 @@ class FemOperators:
 
     ``cache`` holds the run's solvers, each built once: the FFT solvers
     (``SpectralSolver``) of M and K, through ``solvers.cached_solver``, and
-    per tau the pair (-tau R, LU of K - tau R) of the block elimination; it
-    never affects results.
+    per tau the pair (-tau R, inverse of [[-tau R, M], [K, -M]]).  That
+    inverse is a ``SpectralBlockSolver`` when the drift is uniform, else a
+    block elimination with an LU of K - tau R.  The cache never affects
+    results.
     """
 
     M: CsrMatrix

@@ -72,7 +72,7 @@ def parse_args(argv) -> argparse.Namespace:
         parser.error(f"--test must be 1..5, got {ns.test}")
     try:
         solver_cfg = SolverConfig(ns.tau, ns.tol, ns.k_max, ns.method)
-        check_run_inputs(solver_cfg, ns.T, ns.snapshot_every, ns.cap)
+        check_run_inputs(solver_cfg, ns.T, ns.snapshot_every, ns.cap, ns.n)
     except ValueError as exc:
         parser.error(str(exc))
     if ns.n < 3:

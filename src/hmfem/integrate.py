@@ -39,6 +39,12 @@ DEFAULT_CAP = 0.3
 #: take thousands of steps.
 MAX_STEPS = 10**6
 
+#: The most partition points per side of a run's grid.  ``build_grid`` plus
+#: ``assemble_operators`` peak at about 1.8 KB per dof (tracemalloc at n = 65,
+#: 129 and 257), so the (MAX_N - 1)^2 dofs bound that near 0.5 GB; the
+#: paper's grids have n <= 129.
+MAX_N = 513
+
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -114,8 +120,10 @@ def _diagnose(ops: FemOperators, state: State) -> Diagnostics:
     )
 
 
-def check_run_inputs(cfg: SolverConfig, T: float, snapshot_every: int, cap: float):
-    """Raise ValueError unless T, T/tau, cap and snapshot_every suit a run."""
+def check_run_inputs(
+    cfg: SolverConfig, T: float, snapshot_every: int, cap: float, n: int = 17
+):
+    """Raise ValueError unless T, T/tau, cap, snapshot_every and n suit a run."""
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"end time must be finite and nonnegative, got {T}")
     if not T / cfg.tau <= MAX_STEPS:
@@ -127,6 +135,8 @@ def check_run_inputs(cfg: SolverConfig, T: float, snapshot_every: int, cap: floa
         raise ValueError(f"amplitude cap must be finite, got {cap}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    if n > MAX_N:
+        raise ValueError(f"grid size n must be at most {MAX_N}, got {n}")
 
 
 def run(
@@ -143,7 +153,7 @@ def run(
     interpolation of u0 and W0 comes from the elliptic solve.  The amplitude
     cap is checked after each completed step.
     """
-    check_run_inputs(cfg, T, snapshot_every, cap)
+    check_run_inputs(cfg, T, snapshot_every, cap, n)
     grid = build_grid(problem.Lx, problem.Ly, n)
     ops = assemble_operators(grid, problem.grad_p)
     U0 = sample_nodes(problem, grid)

@@ -18,16 +18,18 @@ update raises ``NonFiniteError`` instead of being accepted.
 Newton, chord and modified are one loop, ``_newton_type_step``, that
 differs only in the matrix it forms: with or without B, every iteration or
 once per step.  The loop corrects each inner system against the state-free
-step matrix [[-tau R, M], [K, -M]], which it solves by block elimination:
-an LU of K - tau R, the one factorization of a run, and an FFT inverse of
-M.  On the uniform periodic grid M and K are block circulant, so
-``cached_solver`` inverts them by FFT (``SpectralSolver``) for ``init_w0``,
-the elimination and semilinear alike.  Every solve inside a step goes
-through ``_Work.solve``: it refuses a non-finite right-hand side, corrects
-against a nearby inverse, falls back to a fresh LU of the system when the
-correction stalls, and counts the corrections and LUs.  ``ops.cache``
-keeps the FFT solvers of M and K and, per tau, -tau R with the LU of
-K - tau R.
+step matrix [[-tau R, M], [K, -M]].  On the uniform periodic grid M and K
+are block circulant, so ``cached_solver`` inverts them by FFT
+(``SpectralSolver``) for ``init_w0`` and semilinear.  When the drift
+gradient is uniform, R is block circulant too, and the FFT splits the
+state-free matrix into one 2x2 system per mode (``SpectralBlockSolver``):
+such a run factors nothing.  Otherwise block elimination solves it, with
+an LU of K - tau R, the one factorization of the run, and the FFT inverse
+of M.  Every solve inside a step goes through ``_Work.solve``: it refuses
+a non-finite right-hand side, corrects against a nearby inverse, falls
+back to a fresh LU of the system when the correction stalls, and counts
+the corrections and LUs.  ``ops.cache`` keeps the FFT solvers of M and K
+and, per tau, -tau R with the inverse of the state-free matrix.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ from .sparse import (
     EPS_FLOOR,
     CsrMatrix,
     SparseLu,
+    SpectralBlockSolver,
     SpectralSolver,
     block2x2,
     defect_correction,
+    is_block_circulant,
     m_norm,
     matvec,
 )
@@ -157,16 +161,33 @@ def cached_solver(ops: FemOperators, name: str) -> SpectralSolver:
 
 
 def _cached_elimination(ops: FemOperators, tau: float, work: _Work):
-    """-tau R and the LU of K - tau R, built once per tau; the LU counts in ``work``.
+    """-tau R and the inverse of [[-tau R, M], [K, -M]], built once per tau.
 
     K - tau R is formed on the grid's pattern, as every step matrix is.
+    When it is block circulant (a uniform drift gradient), the FFT splits
+    the block matrix into one 2x2 system per mode and nothing is factored.
+    Otherwise block elimination solves it: adding the block rows gives
+    (K - tau R) U = r1 + r2, then M W = r1 + tau R U, with an LU of
+    K - tau R, which counts in ``work``, and the FFT solver of M.
     """
     key = ("K - tau R", tau)
     if key not in ops.cache:
         neg_tau_R = -tau * ops.R
         K_tau_R = replace(ops.K, values=ops.K.values + neg_tau_R.values)
-        ops.cache[key] = neg_tau_R, SparseLu(K_tau_R)
-        work.n_factor += 1
+        if is_block_circulant(K_tau_R):
+            eliminate = SpectralBlockSolver(neg_tau_R, ops.M, ops.K).apply_inverse
+        else:
+            lu_KR = SparseLu(K_tau_R)
+            work.n_factor += 1
+            solver_M, N = cached_solver(ops, "M"), ops.grid.N
+
+            def eliminate(r):
+                # r1 - (-tau R) U rounds exactly as r1 + tau R U does.
+                U = lu_KR.apply_inverse(r[:N] + r[N:])
+                W = solver_M.apply_inverse(r[:N] - matvec(neg_tau_R, U))
+                return np.concatenate([U, W])
+
+        ops.cache[key] = neg_tau_R, eliminate
     return ops.cache[key]
 
 
@@ -236,26 +257,18 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     g = tau S(U)(W0 - W) + tau S(U0) W + Z.
 
     tau S and tau B are small against M and R on the presets, so every
-    solve corrects against the state-free system [[-tau R, M], [K, -M]].
-    Block elimination solves that: adding its block rows gives
-    (K - tau R) U = r1 + r2, then M W = r1 + tau R U, with the run's LU of
-    K - tau R and FFT solver of M.  When the correction stalls, as O(1) data
-    makes tau S large, a solve falls back to an LU of its 2N x 2N system.
+    solve corrects against the state-free system [[-tau R, M], [K, -M]],
+    whose inverse ``_cached_elimination`` builds once per run: per Fourier
+    mode when the drift is uniform, else by block elimination with an LU of
+    K - tau R.  When the correction stalls, as O(1) data makes tau S large,
+    a solve falls back to an LU of its 2N x 2N system.
     """
     t0 = time.perf_counter()
     tau = cfg.tau
     M, N = ops.M, ops.grid.N
     work = _Work()
-    # -tau R serves as C and in the elimination: r1 - (-tau R) U rounds
-    # exactly as r1 + tau R U does.
-    neg_tau_R, lu_KR = _cached_elimination(ops, tau, work)
-    solver_M = cached_solver(ops, "M")
-
-    def eliminate(r):
-        U = lu_KR.apply_inverse(r[:N] + r[N:])
-        W = solver_M.apply_inverse(r[:N] - matvec(neg_tau_R, U))
-        return np.concatenate([U, W])
-
+    # -tau R serves as C and inside the elimination.
+    neg_tau_R, eliminate = _cached_elimination(ops, tau, work)
     Z = matvec(M, state_t.W)
     zeros = np.zeros(N)
     rhs, precond = None, eliminate

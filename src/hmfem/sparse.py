@@ -6,8 +6,11 @@ of value arrays, ``replace(A, values=...)``, and ``CsrMatrix`` offers no
 algebra beyond scaling.  ``block2x2``, through ``from_scipy``, is the one
 way off that pattern: it builds the 2N x 2N matrix of the LU fallback.
 scipy.sparse does products and factorizations behind the container.
-``defect_correction`` is the one refinement loop: ``SparseLu`` and
-``SpectralSolver`` supply the inverses it corrects with.
+``defect_correction`` is the one refinement loop: ``SparseLu``,
+``SpectralSolver`` and ``SpectralBlockSolver`` supply the inverses it
+corrects with.  The two spectral inverses diagonalize block-circulant
+matrices by the 2-D FFT, through one pair of transform helpers, and
+``is_block_circulant`` tells whether a matrix is one.
 """
 
 from __future__ import annotations
@@ -174,29 +177,83 @@ class SpectralSolver:
 
     On the uniform periodic grid (dof j m + i, row index j) every
     translation-invariant operator, such as M and K, is block circulant with
-    circulant blocks, and its eigenvalues are the 2-D DFT of its first
-    column shaped (m, m).  ``apply_inverse`` divides by them.  It is exact
-    only for such a matrix; for any other it is a preconditioner, and
+    circulant blocks, and its eigenvalues are its symbol: the 2-D DFT of its
+    first column shaped (m, m).  ``apply_inverse`` divides by them.  It is
+    exact only for such a matrix; for any other it is a preconditioner, and
     ``defect_correction`` against the true matrix refuses a wrong x.
+    ``SpectralBlockSolver`` is the same idea for the 2x2 block step matrix.
     """
 
     def __init__(self, A: CsrMatrix):
-        m = math.isqrt(A.nrows)
-        if A.nrows != A.ncols or m * m != A.nrows:
-            raise ShapeError("spectral solve needs a square matrix of m^2 rows")
-        self._m = m
-        e0 = np.zeros(A.nrows)
-        e0[0] = 1.0
-        symbol = np.fft.rfft2(matvec(A, e0).reshape(m, m))
+        symbol = _symbol(A)
         _checked_pivot(symbol)
+        self._m = len(symbol)
         self._inv_symbol = 1.0 / symbol
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        # rfft2 and irfft2 spelled out: at m = 16 numpy's n-d wrappers cost
-        # more than the transforms.
         m = self._m
-        rhat = np.fft.fft(np.fft.rfft(r.reshape(m, m)), axis=0) * self._inv_symbol
-        return np.fft.irfft(np.fft.ifft(rhat, axis=0), n=m).reshape(-1)
+        return _ifft2(_fft2(r.reshape(m, m)) * self._inv_symbol, m).reshape(-1)
+
+
+class SpectralBlockSolver:
+    """Inverse of the 2N x 2N matrix [[C, M], [K, -M]] of block-circulant C, M, K.
+
+    The 2-D FFT splits it into one 2x2 system per mode.  With the symbols
+    rho of C, mu of M and kappa of K, the mode of [r1; r2] maps to
+    u = (r1 + r2) / (kappa + rho) and w = (kappa r1 - rho r2) / (mu (kappa + rho)):
+    block elimination, mode by mode.  ``apply_inverse`` is one forward
+    transform pair of the stacked (2, m, m) vector, two products per mode
+    and one inverse pair; no matrix is factored or multiplied.
+    """
+
+    def __init__(self, C: CsrMatrix, M: CsrMatrix, K: CsrMatrix):
+        rho, mu, kappa = _symbol(C), _symbol(M), _symbol(K)
+        _checked_pivot(mu)
+        _checked_pivot(kappa + rho)
+        self._m = len(mu)
+        inv = 1.0 / (kappa + rho)
+        # The per-mode inverse by columns (of r1, of r2), each over rows u, w.
+        self._of_r1 = np.stack([inv, kappa * inv / mu])
+        self._of_r2 = np.stack([inv, -rho * inv / mu])
+
+    def apply_inverse(self, r: np.ndarray) -> np.ndarray:
+        m = self._m
+        r1, r2 = _fft2(r.reshape(2, m, m))
+        return _ifft2(self._of_r1 * r1 + self._of_r2 * r2, m).reshape(-1)
+
+
+def is_block_circulant(A: CsrMatrix) -> bool:
+    """Whether A acts on the periodic m x m grid as its symbol does.
+
+    A x by ``matvec`` and by the symbol must agree to 1e-12 relative on a
+    fixed probe x; a drift that varies in space misses this by far more.
+    """
+    symbol = _symbol(A)
+    m = len(symbol)
+    x = np.random.default_rng(0).standard_normal(A.nrows)
+    by_symbol = _ifft2(_fft2(x.reshape(m, m)) * symbol, m).reshape(-1)
+    Ax = matvec(A, x)
+    return bool(np.linalg.norm(by_symbol - Ax) <= 1e-12 * np.linalg.norm(Ax))
+
+
+def _symbol(A: CsrMatrix) -> np.ndarray:
+    """The eigenvalues of a block-circulant A: the 2-D DFT of its first column."""
+    m = math.isqrt(A.nrows)
+    if A.nrows != A.ncols or m * m != A.nrows:
+        raise ShapeError("spectral solve needs a square matrix of m^2 rows")
+    e0 = np.zeros(A.nrows)
+    e0[0] = 1.0
+    return _fft2(matvec(A, e0).reshape(m, m))
+
+
+# rfft2 and irfft2 over the last two axes, spelled out: at m = 16 numpy's
+# n-d wrappers cost more than the transforms.
+def _fft2(x: np.ndarray) -> np.ndarray:
+    return np.fft.fft(np.fft.rfft(x), axis=-2)
+
+
+def _ifft2(xhat: np.ndarray, m: int) -> np.ndarray:
+    return np.fft.irfft(np.fft.ifft(xhat, axis=-2), n=m)
 
 
 def _checked_pivot(diagonal: np.ndarray) -> None:

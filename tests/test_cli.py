@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hmfem import SolverConfig, State, build_grid, dof_of_node, preset, run
 from hmfem.cli import emit_convergence_log, emit_snapshot, main, parse_args
-from hmfem.integrate import MAX_STEPS
+from hmfem.integrate import MAX_N, MAX_STEPS
 
 
 def test_parse_defaults():
@@ -80,6 +80,18 @@ def test_step_count_beyond_bound_is_a_usage_error(tmp_path, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"at most {MAX_STEPS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_size_beyond_bound_is_a_usage_error(tmp_path, capsys):
+    # A mistyped --n must not end in a MemoryError traceback.  Validated
+    # only: the MAX_N grid is accepted but not built.
+    assert parse_args(["--n", str(MAX_N), "--out", "d"]).n == MAX_N
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["--test", "1", "--n", str(MAX_N + 1), "--T", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"at most {MAX_N}" in capsys.readouterr().err
     assert not out.exists()
 
 

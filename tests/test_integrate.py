@@ -12,7 +12,7 @@ from hmfem import (
     run,
     sample_nodes,
 )
-from hmfem.integrate import DEFAULT_CAP, MAX_STEPS, check_run_inputs
+from hmfem.integrate import DEFAULT_CAP, MAX_N, MAX_STEPS, check_run_inputs
 from hmfem.problems import ProblemSpec
 
 
@@ -69,6 +69,17 @@ def test_step_bound_admits_exactly_max_steps():
         check_run_inputs(cfg, 0.5 * (MAX_STEPS + 1), 1, DEFAULT_CAP)
 
 
+def test_grid_size_bound_admits_exactly_max_n():
+    # Validated only: the MAX_N grid is accepted, one point more is not, and
+    # run refuses it before building anything.
+    cfg = SolverConfig(tau=0.1)
+    check_run_inputs(cfg, 1.0, 1, DEFAULT_CAP, MAX_N)
+    with pytest.raises(ValueError, match=f"at most {MAX_N}"):
+        check_run_inputs(cfg, 1.0, 1, DEFAULT_CAP, MAX_N + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_N}"):
+        run(preset(1), cfg, T=1.0, n=MAX_N + 1)
+
+
 def test_run_times_and_counts():
     res = run(preset(2), SolverConfig(tau=0.1), T=0.5, snapshot_every=2, n=9)
     assert res.times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
@@ -120,9 +131,15 @@ def test_solver_failure_returns_partial_results(monkeypatch):
 
 @pytest.mark.parametrize("method", ["newton", "chord", "modified"])
 def test_one_block_lu_per_run(method):
-    res = run(preset(2), SolverConfig(tau=0.1, method=method), T=1.0, n=17)
-    assert res.total_factorizations() == 1
+    # At most one LU per run, of K - tau R: none on a uniform drift, whose
+    # block system is solved per Fourier mode, one on test 5's varying drift.
+    cfg = SolverConfig(tau=0.1, method=method)
+    res = run(preset(2), cfg, T=1.0, n=17)
+    assert res.total_factorizations() == 0
     assert {r.iterations for r in res.reports} == {2}
+    res = run(preset(5), cfg, T=1.0, n=17)
+    assert res.total_factorizations() == 1
+    assert [r.n_factor for r in res.reports][0] == 1
 
 
 def test_semilinear_run_factors_nothing():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from hmfem import (
 )
 from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
-from hmfem.solvers import _Work, tau_bound_report
-from hmfem.sparse import SparseLu, SpectralSolver
+from hmfem.solvers import _cached_elimination, _Work, tau_bound_report
+from hmfem.sparse import SparseLu, SpectralBlockSolver, SpectralSolver, is_block_circulant
 
 
 def initial_state(spec, n):
@@ -201,9 +202,14 @@ def test_implicit_run_factors_only_n_by_n(monkeypatch, method):
         rows.append(self.n)
 
     monkeypatch.setattr(SparseLu, "__init__", spy)
-    res = run(preset(2), SolverConfig(tau=0.1, method=method), T=0.3, n=17)
-    # Only the LU of K - tau R; M is solved by FFT, and smooth data never
-    # falls back.
+    cfg = SolverConfig(tau=0.1, method=method)
+    # A uniform drift (preset 2) factors nothing: the block system is solved
+    # per Fourier mode, M by FFT, and smooth data never falls back.
+    res = run(preset(2), cfg, T=0.3, n=17)
+    assert res.total_factorizations() == 0
+    assert rows == []
+    # Test 5's drift varies in space: one LU of K - tau R, N x N.
+    res = run(preset(5), cfg, T=0.3, n=17)
     assert res.total_factorizations() == 1
     assert rows == [(17 - 1) ** 2]
 
@@ -223,7 +229,7 @@ def test_per_step_work_by_method(monkeypatch, stepper, n_S, n_B, n_matrix):
 
     ops, s0 = initial_state(preset(2), 17)
     cfg = SolverConfig(tau=0.1)
-    step_modified(ops, s0, cfg)  # builds the run's block LU outside the count
+    step_modified(ops, s0, cfg)  # builds the run's elimination outside the count
     calls = {"S": 0, "B": 0, "matrix": 0}
 
     def counted(key, fn):
@@ -247,15 +253,18 @@ def test_per_step_work_by_method(monkeypatch, stepper, n_S, n_B, n_matrix):
 def test_eliminations_per_step(monkeypatch, stepper, n_rhs):
     # Each solve eliminates its rhs once and then once per correction;
     # modified's rhs is fixed, so it eliminates that rhs once per step.
-    ops, s0 = initial_state(preset(2), 17)
+    # Preset 2 eliminates per Fourier mode, test 5 through the LU.
     cfg = SolverConfig(tau=0.1)
-    step_modified(ops, s0, cfg)  # builds the run's LU outside the count
-    lu = ops.cache[("K - tau R", cfg.tau)][1]
-    original, calls = lu.apply_inverse, []
-    monkeypatch.setattr(lu, "apply_inverse", lambda r: calls.append(r) or original(r))
-    _, rep = stepper(ops, s0, cfg)
-    assert rep.iterations == 2 and rep.n_linear_iters > 0
-    assert len(calls) == n_rhs + rep.n_linear_iters
+    key = ("K - tau R", cfg.tau)
+    for tid in (2, 5):
+        ops, s0 = initial_state(preset(tid), 17)
+        step_modified(ops, s0, cfg)  # builds the run's elimination outside the count
+        neg_tau_R, eliminate = ops.cache[key]
+        calls = []
+        ops.cache[key] = neg_tau_R, lambda r: calls.append(r) or eliminate(r)
+        _, rep = stepper(ops, s0, cfg)
+        assert rep.iterations == 2 and rep.n_linear_iters > 0 and rep.n_factor == 0
+        assert len(calls) == n_rhs + rep.n_linear_iters
 
 
 def test_modified_tau_small_is_state_independent_map(rng):
@@ -310,8 +319,9 @@ def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
     ops, s0 = initial_state(large_data_spec(0.5), 17)
     solves = spy_solves(monkeypatch)
     _, rep = stepper(ops, s0, SolverConfig(tau=0.1))
-    # The state-free LU, then a fresh LU for every inner solve.
-    assert rep.n_factor == rep.iterations + 1
+    # A fresh LU for every inner solve; the drift is uniform, so the
+    # state-free matrix is inverted per Fourier mode and not factored.
+    assert rep.n_factor == rep.iterations
     for b, _, _, matrix, x in solves:
         ref = SparseLu(matrix()).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -319,30 +329,58 @@ def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
 
 @pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
 def test_cache_holds_only_lus(monkeypatch, stepper):
-    # The one LU a run caches is that of K - tau R, kept with the -tau R
-    # every step's systems use; M's solver is the FFT one init_w0 built.
+    # Per tau a run caches -tau R, which every step's systems use, with the
+    # inverse of [[-tau R, M], [K, -M]]: per Fourier mode on a uniform drift
+    # (preset 2), else through an LU of K - tau R.  The only other entry is
+    # M's FFT solver, built by init_w0.
     import hmfem.solvers as sv
 
-    ops, s0 = initial_state(preset(2), 9)
-    solver_M = ops.cache["M"]
-    used = []
     original = sv._form_system
-
-    def spy(ops, tau, neg_tau_R, S, B=None):
-        used.append(neg_tau_R)
-        return original(ops, tau, neg_tau_R, S, B)
-
-    monkeypatch.setattr(sv, "_form_system", spy)
     cfg = SolverConfig(tau=0.1)
-    state, _ = stepper(ops, s0, cfg)
-    stepper(ops, state, cfg)
-    neg_tau_R, lu = ops.cache.pop(("K - tau R", 0.1))
-    assert ops.cache.pop("M") is solver_M
-    assert not ops.cache
-    assert isinstance(solver_M, SpectralSolver)
-    assert isinstance(lu, SparseLu) and lu.n == ops.grid.N
-    assert np.array_equal(neg_tau_R.values, -0.1 * ops.R.values)
-    assert len(used) >= 2 and all(u is neg_tau_R for u in used)
+    for tid in (2, 5):
+        ops, s0 = initial_state(preset(tid), 9)
+        solver_M = ops.cache["M"]
+        used = []
+
+        def spy(ops, tau, neg_tau_R, S, B=None):
+            used.append(neg_tau_R)
+            return original(ops, tau, neg_tau_R, S, B)
+
+        monkeypatch.setattr(sv, "_form_system", spy)
+        state, _ = stepper(ops, s0, cfg)
+        stepper(ops, state, cfg)
+        neg_tau_R, eliminate = ops.cache.pop(("K - tau R", 0.1))
+        assert ops.cache.pop("M") is solver_M
+        assert not ops.cache
+        assert isinstance(solver_M, SpectralSolver)
+        spectral = isinstance(getattr(eliminate, "__self__", None), SpectralBlockSolver)
+        assert spectral == (tid == 2)
+        assert np.array_equal(neg_tau_R.values, -0.1 * ops.R.values)
+        assert len(used) >= 2 and all(u is neg_tau_R for u in used)
+
+
+@pytest.mark.parametrize(
+    "Lx, Ly, n",
+    # n = 3 wraps both neighbours onto one dof; n = 4 and 6 give odd m.
+    [(np.pi, np.pi, 3), (np.pi, np.pi, 4), (np.pi, np.pi, 5), (np.pi, np.pi, 17), (1, 3, 6)],
+)
+def test_spectral_elimination_matches_dense_inverse(Lx, Ly, n):
+    ops = assemble_operators(build_grid(Lx, Ly, n), preset(2).grad_p)
+    tau, work = 0.1, _Work()
+    _, eliminate = _cached_elimination(ops, tau, work)
+    assert work.n_factor == 0
+    Md, Kd, Rd = ops.M.to_dense(), ops.K.to_dense(), ops.R.to_dense()
+    inv = np.linalg.inv(np.block([[-tau * Rd, Md], [Kd, -Md]]))
+    cols = np.stack([eliminate(e) for e in np.eye(2 * ops.grid.N)], axis=1)
+    assert np.abs(cols - inv).max() <= 1e-13 * np.abs(inv).max()
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5])
+def test_route_probe_accepts_only_uniform_drift(tid):
+    spec = preset(tid)
+    ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 17), spec.grad_p)
+    K_tau_R = replace(ops.K, values=ops.K.values - 0.1 * ops.R.values)
+    assert is_block_circulant(K_tau_R) == (tid != 5)
 
 
 @pytest.mark.parametrize("method", ["newton", "modified"])
@@ -397,7 +435,7 @@ def test_large_data_newton_matches_dense_oracle():
     ops, s0 = initial_state(spec, 9)
     cfg = SolverConfig(tau=0.1, method="newton")
     fast, rep = step_newton(ops, s0, cfg)
-    assert rep.n_factor == rep.iterations + 1
+    assert rep.n_factor == rep.iterations  # fallback LUs only
     dense, k = dense_newton_step(ops.grid, spec, s0, cfg)
     assert k == rep.iterations
     for a, b in ((fast.U, dense.U), (fast.W, dense.W)):

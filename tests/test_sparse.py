@@ -19,7 +19,7 @@ from hmfem import (
     matvec,
     preset,
 )
-from hmfem.sparse import SparseLu, SpectralSolver, defect_correction
+from hmfem.sparse import SparseLu, SpectralBlockSolver, SpectralSolver, defect_correction
 
 
 def csr(dense) -> CsrMatrix:
@@ -210,6 +210,15 @@ def test_spectral_solver_refuses_vanishing_symbol():
     # zero frequency.
     with pytest.raises(SingularMatrixError):
         SpectralSolver(assemble_stiffness(build_grid(1.0, 1.0, 5)))
+
+
+def test_spectral_block_solver_refuses_vanishing_symbols():
+    ops = assemble_operators(build_grid(1.0, 1.0, 5), preset(2).grad_p)
+    # kappa + rho vanishes when C = -K; mu vanishes at the zero frequency
+    # when the M block is the stiffness matrix.
+    for C, M in ((-ops.K, ops.M), (ops.R, ops.A)):
+        with pytest.raises(SingularMatrixError):
+            SpectralBlockSolver(C, M, ops.K)
 
 
 def test_m_norm_basics():
