@@ -14,7 +14,10 @@ M, A and S are integrated exactly (P1 integrands are polynomial of degree
 drift gradient is affine.  The discrete Poisson bracket is antisymmetric,
 so B(W) = -S(W) exactly and B needs no kernel of its own.  All operators
 share the grid's fixed sparsity pattern, so value arrays of different
-operators are aligned slot by slot.
+operators are aligned slot by slot.  M, A and R are summed from their
+per-element contributions once per run; S(U) is linear in U, so its value
+array is the product of two fixed sparse factors with U, which the grid
+builds on the first ``assemble_S`` and keeps (``DofGrid.s_factors``).
 """
 
 from __future__ import annotations
@@ -102,19 +105,16 @@ def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:
 
     Per element the integrand is a constant times phi_I, so area/3 weights
     are exact; global skew-symmetry holds to round-off because the transport
-    field has continuous edge-normal trace across the mesh.
+    field has continuous edge-normal trace across the mesh.  The values are
+    ``P @ (H @ U)`` with the grid's fixed factors ``s_factors``: H gives each
+    element column's weight, area/3 (grad u_N x grad phi_b), and P adds it
+    into the column's three slots.  The first call on a grid builds them.
     """
     U = np.asarray(U, dtype=float)
     if U.shape != (grid.N,):
         raise ShapeError(f"coefficient vector needs length {grid.N}, got {U.shape}")
-    g = grid.tri_grads
-    grad_u = (U[grid.tri_dofs][:, None, :] @ g)[:, 0]  # constant per element
-    # V(u_N) . grad phi_b, one value per column, the same for all 3 rows
-    cols = (grid.tri_area / 3.0)[:, None] * (
-        grad_u[:, :1] * g[:, :, 1] - grad_u[:, 1:] * g[:, :, 0]
-    )
-    vals = np.broadcast_to(cols[:, None, :], g.shape[:1] + (3, 3))
-    return pattern_csr(grid, vals.reshape(-1))
+    H, P = grid.s_factors
+    return CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, P @ (H @ U))
 
 
 def assemble_B(grid: DofGrid, W: np.ndarray) -> CsrMatrix:

@@ -5,14 +5,18 @@ The rectangle ``[0, Lx] x [0, Ly]`` is partitioned into ``(n-1)^2`` cells of
 triangles along the diagonal from the lower-left to the upper-right corner.
 Opposite boundary nodes are identified, so the number of degrees of freedom
 is ``N = (n-1)^2`` rather than ``n^2``.  Grids are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads, apart from one lazily
+filled cache, the factors of S(U) (``DofGrid.s_factors``): racing first
+calls may build it twice, with identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidDomainError, InvalidPartitionError
 
@@ -26,6 +30,8 @@ class DofGrid:
     triangles per cell.  The grid also carries the fixed sparsity pattern
     shared by every assembled operator: all of M, A, K, R, S(U) and B(W)
     live on the element-pair pattern with at most 7 entries per row.
+    ``s_factors``, the two fixed sparse factors of S(U), is built by the
+    first ``assemble_S`` on the grid and then cached on it.
     """
 
     n: int
@@ -46,6 +52,41 @@ class DofGrid:
     @property
     def nnz_pattern(self) -> int:
         return len(self.csr_indices)
+
+    @cached_property
+    def s_factors(self) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """(H, P) with ``assemble_S(grid, U).values == P @ (H @ U)``.
+
+        Row (e, b) of H (3 nel x N, 2 entries per row) holds the weight
+        area_e/3 (g_c x g_b) of U[dof_c] for the two c != b, with g the basis
+        gradients; the c = b term is identically zero.  Column (e, b) of P
+        (nnz_pattern x 3 nel, all ones) adds that value into the slots
+        (dof_a, dof_b), a = 0..2, in element order.
+        """
+        nel = len(self.tri_area)
+        b = np.repeat(np.arange(3), 2)
+        c = np.array([1, 2, 2, 0, 0, 1])  # the two c != b of each b
+        # components first, so each gather below copies whole rows
+        gx, gy = np.ascontiguousarray(self.tri_grads.T)  # (3, nel) each
+        weights = (self.tri_area / 3.0) * (gx[c] * gy[b] - gy[c] * gx[b])
+        H = sp.csr_matrix(
+            (
+                weights.T.reshape(-1),
+                self.tri_dofs[:, c].astype(np.int32).reshape(-1),
+                np.arange(0, 6 * nel + 1, 2, dtype=np.int32),
+            ),
+            shape=(3 * nel, self.N),
+        )
+        slots = self.pattern_scatter.reshape(nel, 3, 3).transpose(0, 2, 1)
+        P = sp.csc_matrix(
+            (
+                np.ones(9 * nel),
+                slots.astype(np.int32).reshape(-1),
+                np.arange(0, 9 * nel + 1, 3, dtype=np.int32),
+            ),
+            shape=(self.nnz_pattern, 3 * nel),
+        )
+        return H, P
 
     @property
     def xs(self):

@@ -13,8 +13,10 @@ from hmfem import (
     assemble_S,
     assemble_stiffness,
     build_grid,
+    init_w0,
     matvec,
     preset,
+    sample_nodes,
 )
 from hmfem.assembly import pattern_csr
 from hmfem.oracle import dense_assemble_all
@@ -142,15 +144,37 @@ def test_S_linearity(a, b):
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [17, 33])
-def test_S_matches_element_loop(rng, n):
-    g = build_grid(np.pi, np.pi, n)
+# n = 3 folds the 7-point stencil through the periodic wrap (N = 4, every
+# dof couples to every other), so each slot sums the most elements; the
+# 1 x 3 domain has unequal spacings.
+@pytest.mark.parametrize(
+    "n, Lx, Ly",
+    [pytest.param(n, np.pi, np.pi, id=str(n)) for n in (3, 4, 5, 17, 33)]
+    + [pytest.param(6, 1.0, 3.0, id="6-1x3")],
+)
+def test_S_matches_element_loop(rng, n, Lx, Ly):
+    g = build_grid(Lx, Ly, n)
     U = rng.standard_normal(g.N)
     ref = assemble_S_loop(g, U).values
     fast = assemble_S(g, U).values
     assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
     W = rng.standard_normal(g.N)
     assert np.array_equal(assemble_B(g, W).values, -assemble_S(g, W).values)
+
+
+def test_S_factors_built_lazily_once_per_grid(rng):
+    spec = preset(2)
+    g = build_grid(spec.Lx, spec.Ly, 9)
+    init_w0(assemble_operators(g, spec.grad_p), sample_nodes(spec, g))
+    assert "s_factors" not in vars(g)  # set-up builds no factors
+    assemble_S(g, rng.standard_normal(g.N))
+    H, P = vars(g)["s_factors"]
+    assemble_S(g, rng.standard_normal(g.N))
+    assert vars(g)["s_factors"][0] is H and vars(g)["s_factors"][1] is P
+    other = build_grid(spec.Lx, spec.Ly, 9)
+    assemble_B(other, rng.standard_normal(other.N))
+    H2, P2 = vars(other)["s_factors"]
+    assert H2 is not H and P2 is not P
 
 
 def test_S_shape_error():
