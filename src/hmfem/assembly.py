@@ -38,9 +38,9 @@ class FemOperators:
     ``cache`` holds the run's solvers, each built once: the FFT solvers
     (``SpectralSolver``) of M and K, through ``solvers.cached_solver``, and
     per tau the pair (-tau R, inverse of [[-tau R, M], [K, -M]]).  That
-    inverse is a ``SpectralBlockSolver`` when the drift is uniform, else a
-    block elimination with an LU of K - tau R.  The cache never affects
-    results.
+    inverse is a ``SpectralSolver`` of the 2x2 block when the drift is
+    uniform, else a block elimination with an LU of K - tau R.  The cache
+    never affects results.
     """
 
     M: CsrMatrix

@@ -75,8 +75,6 @@ def parse_args(argv) -> argparse.Namespace:
         check_run_inputs(solver_cfg, ns.T, ns.snapshot_every, ns.cap, ns.n)
     except ValueError as exc:
         parser.error(str(exc))
-    if ns.n < 3:
-        parser.error(f"--n must be >= 3, got {ns.n}")
     return ns
 
 

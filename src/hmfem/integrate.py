@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .assembly import FemOperators, assemble_operators
-from .errors import NonFiniteError, SingularMatrixError
+from .errors import InvalidPartitionError, NonFiniteError, SingularMatrixError
 from .grid import DofGrid, build_grid
 from .problems import ProblemSpec, sample_nodes
 from .solvers import (
@@ -125,7 +125,10 @@ def _diagnose(ops: FemOperators, state: State) -> Diagnostics:
 def check_run_inputs(
     cfg: SolverConfig, T: float, snapshot_every: int, cap: float, n: int = 17
 ):
-    """Raise ValueError unless T, T/tau, cap, snapshot_every and n suit a run."""
+    """Raise ValueError unless T, T/tau, cap, snapshot_every and n suit a run.
+
+    An n below 3 raises ``InvalidPartitionError``, as ``build_grid`` does.
+    """
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"end time must be finite and nonnegative, got {T}")
     if not T / cfg.tau <= MAX_STEPS:
@@ -137,6 +140,8 @@ def check_run_inputs(
         raise ValueError(f"amplitude cap must be finite, got {cap}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    if n < 3:
+        raise InvalidPartitionError(f"need n >= 3 partition points, got {n}")
     if n > MAX_N:
         raise ValueError(f"grid size n must be at most {MAX_N}, got {n}")
 

@@ -20,16 +20,17 @@ differs only in the matrix it forms: with or without B, every iteration or
 once per step.  The loop corrects each inner system against the state-free
 step matrix [[-tau R, M], [K, -M]].  On the uniform periodic grid M and K
 are block circulant, so ``cached_solver`` inverts them by FFT
-(``SpectralSolver``) for ``init_w0`` and semilinear.  When the drift
-gradient is uniform, R is block circulant too, and the FFT splits the
-state-free matrix into one 2x2 system per mode (``SpectralBlockSolver``):
-such a run factors nothing.  Otherwise block elimination solves it, with
-an LU of K - tau R, the one factorization of the run, and the FFT inverse
-of M.  Every solve inside a step goes through ``_Work.solve``: it refuses
-a non-finite right-hand side, corrects against a nearby inverse, falls
-back to a fresh LU of the system when the correction stalls, and counts
-the corrections and LUs.  ``ops.cache`` keeps the FFT solvers of M and K
-and, per tau, -tau R with the inverse of the state-free matrix.
+(``SpectralSolver`` of one block) for ``init_w0`` and semilinear.  When the
+drift gradient is uniform, R is block circulant too, and the FFT splits the
+state-free matrix into one 2x2 system per mode (``SpectralSolver`` of the
+2x2 block of symbols that ``_cached_elimination`` states): such a run
+factors nothing.  Otherwise block elimination solves it, with an LU of
+K - tau R, the one factorization of the run, and the FFT inverse of M.
+Every solve inside a step goes through ``_Work.solve``: it refuses a
+non-finite right-hand side, corrects against a nearby inverse, falls back
+to a fresh LU of the system when the correction stalls, and counts the
+corrections and LUs.  ``ops.cache`` keeps the FFT solvers of M and K and,
+per tau, -tau R with the inverse of the state-free matrix.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ from .sparse import (
     EPS_FLOOR,
     CsrMatrix,
     SparseLu,
-    SpectralBlockSolver,
     SpectralSolver,
     block2x2,
     defect_correction,
     is_block_circulant,
     m_norm,
     matvec,
+    symbol,
 )
 
 #: Below this 2-norm the relative-error denominator switches to absolute error.
@@ -156,7 +157,7 @@ class _Work:
 def cached_solver(ops: FemOperators, name: str) -> SpectralSolver:
     """The run's FFT solver of ``ops.M`` or ``ops.K`` (``name`` "M" or "K")."""
     if name not in ops.cache:
-        ops.cache[name] = SpectralSolver(getattr(ops, name))
+        ops.cache[name] = SpectralSolver([[symbol(getattr(ops, name))]])
     return ops.cache[name]
 
 
@@ -165,7 +166,8 @@ def _cached_elimination(ops: FemOperators, tau: float, work: _Work):
 
     K - tau R is formed on the grid's pattern, as every step matrix is.
     When it is block circulant (a uniform drift gradient), the FFT splits
-    the block matrix into one 2x2 system per mode and nothing is factored.
+    the block matrix into one 2x2 system per mode, whose entries are the
+    symbols rho of -tau R, mu of M and kappa of K, and nothing is factored.
     Otherwise block elimination solves it: adding the block rows gives
     (K - tau R) U = r1 + r2, then M W = r1 + tau R U, with an LU of
     K - tau R, which counts in ``work``, and the FFT solver of M.
@@ -175,7 +177,8 @@ def _cached_elimination(ops: FemOperators, tau: float, work: _Work):
         neg_tau_R = -tau * ops.R
         K_tau_R = replace(ops.K, values=ops.K.values + neg_tau_R.values)
         if is_block_circulant(K_tau_R):
-            eliminate = SpectralBlockSolver(neg_tau_R, ops.M, ops.K).apply_inverse
+            rho, mu, kappa = symbol(neg_tau_R), symbol(ops.M), symbol(ops.K)
+            eliminate = SpectralSolver([[rho, mu], [kappa, -mu]]).apply_inverse
         else:
             lu_KR = SparseLu(K_tau_R)
             work.n_factor += 1

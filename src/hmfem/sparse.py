@@ -6,11 +6,11 @@ of value arrays, ``replace(A, values=...)``, and ``CsrMatrix`` offers no
 algebra beyond scaling.  ``block2x2``, through ``from_scipy``, is the one
 way off that pattern: it builds the 2N x 2N matrix of the LU fallback.
 scipy.sparse does products and factorizations behind the container.
-``defect_correction`` is the one refinement loop: ``SparseLu``,
-``SpectralSolver`` and ``SpectralBlockSolver`` supply the inverses it
-corrects with.  The two spectral inverses diagonalize block-circulant
-matrices by the 2-D FFT, through one pair of transform helpers, and
-``is_block_circulant`` tells whether a matrix is one.
+``defect_correction`` is the one refinement loop: ``SparseLu`` and
+``SpectralSolver`` supply the inverses it corrects with.  ``SpectralSolver``
+inverts a 1x1 or 2x2 block of block-circulant matrices mode by mode from
+the blocks' symbols (their 2-D FFT), and ``is_block_circulant`` tells
+whether a matrix is one; both go through one pair of transform helpers.
 """
 
 from __future__ import annotations
@@ -173,53 +173,42 @@ class SparseLu:
 
 
 class SpectralSolver:
-    """Inverse of a matrix on the periodic m x m grid, diagonalized by the FFT.
+    """Inverse of a k x k block (k = 1 or 2) of block-circulant matrices.
 
     On the uniform periodic grid (dof j m + i, row index j) every
     translation-invariant operator, such as M and K, is block circulant with
-    circulant blocks, and its eigenvalues are its symbol: the 2-D DFT of its
-    first column shaped (m, m).  ``apply_inverse`` divides by them.  It is
-    exact only for such a matrix; for any other it is a preconditioner, and
-    ``defect_correction`` against the true matrix refuses a wrong x.
-    ``SpectralBlockSolver`` is the same idea for the 2x2 block step matrix.
+    circulant blocks, and the 2-D FFT diagonalizes it: its eigenvalues are
+    its ``symbol``.  A k x k block of such matrices, acting on k stacked dof
+    vectors, splits into one k x k system per Fourier mode.  ``symbols``
+    holds the blocks' symbols row by row; the per-mode inverse is kept in
+    closed form, the adjugate over the determinant.  ``apply_inverse`` is
+    one forward transform of the stacked (k, m, m) vector, k products per
+    output block and one inverse transform.  It is exact only for such a
+    block; for any other it is a preconditioner, and ``defect_correction``
+    against the true matrix refuses a wrong x.
     """
 
-    def __init__(self, A: CsrMatrix):
-        symbol = _symbol(A)
-        _checked_pivot(symbol)
-        self._m = len(symbol)
-        self._inv_symbol = 1.0 / symbol
+    def __init__(self, symbols):
+        if len(symbols) == 1:
+            det, adj = symbols[0][0], [[1.0]]
+        else:
+            (a, b), (c, d) = symbols
+            det, adj = a * d - b * c, [[d, -b], [-c, a]]
+        _checked_pivot(det)
+        self._m = len(det)
+        inv_det = 1.0 / det
+        # Column j of the per-mode inverse maps input block j to the stacked
+        # output blocks.
+        self._cols = [np.stack([row[j] * inv_det for row in adj]) for j in range(len(adj))]
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
         m = self._m
-        return _ifft2(_fft2(r.reshape(m, m)) * self._inv_symbol, m).reshape(-1)
-
-
-class SpectralBlockSolver:
-    """Inverse of the 2N x 2N matrix [[C, M], [K, -M]] of block-circulant C, M, K.
-
-    The 2-D FFT splits it into one 2x2 system per mode.  With the symbols
-    rho of C, mu of M and kappa of K, the mode of [r1; r2] maps to
-    u = (r1 + r2) / (kappa + rho) and w = (kappa r1 - rho r2) / (mu (kappa + rho)):
-    block elimination, mode by mode.  ``apply_inverse`` is one forward
-    transform pair of the stacked (2, m, m) vector, two products per mode
-    and one inverse pair; no matrix is factored or multiplied.
-    """
-
-    def __init__(self, C: CsrMatrix, M: CsrMatrix, K: CsrMatrix):
-        rho, mu, kappa = _symbol(C), _symbol(M), _symbol(K)
-        _checked_pivot(mu)
-        _checked_pivot(kappa + rho)
-        self._m = len(mu)
-        inv = 1.0 / (kappa + rho)
-        # The per-mode inverse by columns (of r1, of r2), each over rows u, w.
-        self._of_r1 = np.stack([inv, kappa * inv / mu])
-        self._of_r2 = np.stack([inv, -rho * inv / mu])
-
-    def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        m = self._m
+        if len(self._cols) == 1:
+            # Plain 2-D transforms: on a batch of one, numpy's cost about
+            # 6 us more at m = 16.
+            return _ifft2(_fft2(r.reshape(m, m)) * self._cols[0][0], m).reshape(-1)
         r1, r2 = _fft2(r.reshape(2, m, m))
-        return _ifft2(self._of_r1 * r1 + self._of_r2 * r2, m).reshape(-1)
+        return _ifft2(self._cols[0] * r1 + self._cols[1] * r2, m).reshape(-1)
 
 
 def is_block_circulant(A: CsrMatrix) -> bool:
@@ -228,15 +217,15 @@ def is_block_circulant(A: CsrMatrix) -> bool:
     A x by ``matvec`` and by the symbol must agree to 1e-12 relative on a
     fixed probe x; a drift that varies in space misses this by far more.
     """
-    symbol = _symbol(A)
-    m = len(symbol)
+    A_hat = symbol(A)
+    m = len(A_hat)
     x = np.random.default_rng(0).standard_normal(A.nrows)
-    by_symbol = _ifft2(_fft2(x.reshape(m, m)) * symbol, m).reshape(-1)
+    by_symbol = _ifft2(_fft2(x.reshape(m, m)) * A_hat, m).reshape(-1)
     Ax = matvec(A, x)
     return bool(np.linalg.norm(by_symbol - Ax) <= 1e-12 * np.linalg.norm(Ax))
 
 
-def _symbol(A: CsrMatrix) -> np.ndarray:
+def symbol(A: CsrMatrix) -> np.ndarray:
     """The eigenvalues of a block-circulant A: the 2-D DFT of its first column."""
     m = math.isqrt(A.nrows)
     if A.nrows != A.ncols or m * m != A.nrows:

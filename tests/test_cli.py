@@ -39,6 +39,7 @@ def test_parse_no_args_defaults_to_test_1():
         ["--tau", "abc", "--out", "d"],
         ["--test", "1"],  # missing --out
         ["--T", "1e308", "--out", "d"],  # T/tau overflows at the default tau
+        ["--n", "2", "--out", "d"],
     ],
 )
 def test_usage_errors_exit_nonzero(argv):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hmfem import (
+    InvalidPartitionError,
     SingularMatrixError,
     SolverConfig,
     apriori_check,
@@ -70,14 +71,20 @@ def test_step_bound_admits_exactly_max_steps():
 
 
 def test_grid_size_bound_admits_exactly_max_n():
-    # Validated only: the MAX_N grid is accepted, one point more is not, and
-    # run refuses it before building anything.
+    # Validated only: the n = 3 and MAX_N grids are accepted, one point
+    # fewer or more is not, and run refuses either before building anything.
     cfg = SolverConfig(tau=0.1)
-    check_run_inputs(cfg, 1.0, 1, DEFAULT_CAP, MAX_N)
+    for n in (3, MAX_N):
+        check_run_inputs(cfg, 1.0, 1, DEFAULT_CAP, n)
     with pytest.raises(ValueError, match=f"at most {MAX_N}"):
         check_run_inputs(cfg, 1.0, 1, DEFAULT_CAP, MAX_N + 1)
     with pytest.raises(ValueError, match=f"at most {MAX_N}"):
         run(preset(1), cfg, T=1.0, n=MAX_N + 1)
+    with pytest.raises(InvalidPartitionError, match="n >= 3"):
+        check_run_inputs(cfg, 1.0, 1, DEFAULT_CAP, 2)
+    with pytest.raises(InvalidPartitionError, match="n >= 3"):
+        run(preset(1), cfg, T=1.0, n=2)
+    assert run(preset(1), cfg, T=0.1, n=3).stop_reason == "reached_T"
 
 
 def test_run_times_and_counts():
@@ -130,7 +137,7 @@ def test_solver_failure_returns_partial_results(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["newton", "chord", "modified"])
-def test_one_block_lu_per_run(method):
+def test_at_most_one_lu_per_run(method):
     # At most one LU per run, of K - tau R: none on a uniform drift, whose
     # block system is solved per Fourier mode, one on test 5's varying drift.
     cfg = SolverConfig(tau=0.1, method=method)

@@ -31,7 +31,7 @@ from hmfem import (
 from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
 from hmfem.solvers import _cached_elimination, _Work, tau_bound_report
-from hmfem.sparse import SparseLu, SpectralBlockSolver, SpectralSolver, is_block_circulant
+from hmfem.sparse import SparseLu, SpectralSolver, is_block_circulant
 
 
 def initial_state(spec, n):
@@ -328,7 +328,7 @@ def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
 
 
 @pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
-def test_cache_holds_only_lus(monkeypatch, stepper):
+def test_cache_holds_one_elimination_per_tau(monkeypatch, stepper):
     # Per tau a run caches -tau R, which every step's systems use, with the
     # inverse of [[-tau R, M], [K, -M]]: per Fourier mode on a uniform drift
     # (preset 2), else through an LU of K - tau R.  The only other entry is
@@ -353,7 +353,7 @@ def test_cache_holds_only_lus(monkeypatch, stepper):
         assert ops.cache.pop("M") is solver_M
         assert not ops.cache
         assert isinstance(solver_M, SpectralSolver)
-        spectral = isinstance(getattr(eliminate, "__self__", None), SpectralBlockSolver)
+        spectral = isinstance(getattr(eliminate, "__self__", None), SpectralSolver)
         assert spectral == (tid == 2)
         assert np.array_equal(neg_tau_R.values, -0.1 * ops.R.values)
         assert len(used) >= 2 and all(u is neg_tau_R for u in used)

@@ -19,7 +19,7 @@ from hmfem import (
     matvec,
     preset,
 )
-from hmfem.sparse import SparseLu, SpectralBlockSolver, SpectralSolver, defect_correction
+from hmfem.sparse import SparseLu, SpectralSolver, defect_correction, symbol
 
 
 def csr(dense) -> CsrMatrix:
@@ -177,10 +177,18 @@ def test_solve_singular():
 )
 def test_spectral_inverse_matches_dense(Lx, Ly, n):
     ops = assemble_operators(build_grid(Lx, Ly, n), preset(2).grad_p)
-    for A in (ops.M, ops.K):
-        solver = SpectralSolver(A)
-        inv = np.linalg.inv(A.to_dense())
-        cols = np.stack([solver.apply_inverse(e) for e in np.eye(A.nrows)], axis=1)
+    tau, mu, kappa = 0.1, symbol(ops.M), symbol(ops.K)
+    Md, Kd, Rd = ops.M.to_dense(), ops.K.to_dense(), ops.R.to_dense()
+    # k = 1: M and K; k = 2: the state-free matrix [[-tau R, M], [K, -M]].
+    cases = [
+        (Md, [[mu]]),
+        (Kd, [[kappa]]),
+        (np.block([[-tau * Rd, Md], [Kd, -Md]]), [[symbol(-tau * ops.R), mu], [kappa, -mu]]),
+    ]
+    for dense, symbols in cases:
+        solver = SpectralSolver(symbols)
+        inv = np.linalg.inv(dense)
+        cols = np.stack([solver.apply_inverse(e) for e in np.eye(len(dense))], axis=1)
         assert np.abs(cols - inv).max() <= 1e-13 * np.abs(inv).max()
 
 
@@ -193,32 +201,35 @@ def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
     K, R = ops.K, ops.R
     near = replace(K, values=K.values - 0.1 * R.values)
     x, corrections = defect_correction(
-        b, partial(matvec, near), SpectralSolver(near).apply_inverse
+        b, partial(matvec, near), SpectralSolver([[symbol(near)]]).apply_inverse
     )
     assert corrections >= 2
     assert np.linalg.norm(matvec(near, x) - b) <= 1e-10 * np.linalg.norm(b)
     assert np.allclose(x, SparseLu(near).solve(b), rtol=0, atol=1e-12 * np.abs(x).max())
     # At tau = 10 the correction diverges, and the contract refuses it.
     far = replace(K, values=K.values - 10.0 * R.values)
+    inv_far = SpectralSolver([[symbol(far)]]).apply_inverse
     with pytest.raises(SingularMatrixError) as exc:
-        defect_correction(b, partial(matvec, far), SpectralSolver(far).apply_inverse)
+        defect_correction(b, partial(matvec, far), inv_far)
     assert exc.value.corrections == 1
 
 
-def test_spectral_solver_refuses_vanishing_symbol():
-    # Constants lie in the stiffness matrix's kernel: its symbol is 0 at the
-    # zero frequency.
-    with pytest.raises(SingularMatrixError):
-        SpectralSolver(assemble_stiffness(build_grid(1.0, 1.0, 5)))
-
-
-def test_spectral_block_solver_refuses_vanishing_symbols():
+@pytest.mark.parametrize("case", ["k1-stiffness", "k2-C=-K", "k2-A-block"])
+def test_spectral_solver_refuses_vanishing_determinant(case):
     ops = assemble_operators(build_grid(1.0, 1.0, 5), preset(2).grad_p)
-    # kappa + rho vanishes when C = -K; mu vanishes at the zero frequency
-    # when the M block is the stiffness matrix.
-    for C, M in ((-ops.K, ops.M), (ops.R, ops.A)):
-        with pytest.raises(SingularMatrixError):
-            SpectralBlockSolver(C, M, ops.K)
+    rho, mu, kappa, alpha = (symbol(X) for X in (ops.R, ops.M, ops.K, ops.A))
+    symbols = {
+        # Constants lie in the stiffness matrix's kernel: its symbol alpha
+        # is 0 at the zero frequency.
+        "k1-stiffness": [[alpha]],
+        # [[C, M], [K, -M]] has determinant -mu (kappa + rho), where rho is
+        # C's symbol: it vanishes when C = -K, and at the zero frequency
+        # when the M block is the stiffness matrix.
+        "k2-C=-K": [[-kappa, mu], [kappa, -mu]],
+        "k2-A-block": [[rho, alpha], [kappa, -alpha]],
+    }[case]
+    with pytest.raises(SingularMatrixError):
+        SpectralSolver(symbols)
 
 
 def test_m_norm_basics():
