@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EvaluationError, ShapeError
 from .grid import DofGrid
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, matvec
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:
     Per element the integrand is a constant times phi_I, so area/3 weights
     are exact; global skew-symmetry holds to round-off because the transport
     field has continuous edge-normal trace across the mesh.  The values are
-    ``P @ (H @ U)`` with the grid's fixed factors ``s_factors``: H gives each
+    ``P (H U)`` with the grid's fixed factors ``s_factors``: H gives each
     element column's weight, area/3 (grad u_N x grad phi_b), and P adds it
     into the column's three slots.  The first call on a grid builds them.
     """
@@ -114,7 +114,8 @@ def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:
     if U.shape != (grid.N,):
         raise ShapeError(f"coefficient vector needs length {grid.N}, got {U.shape}")
     H, P = grid.s_factors
-    return CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, P @ (H @ U))
+    values = matvec(P, matvec(H, U))
+    return CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, values)
 
 
 def assemble_B(grid: DofGrid, W: np.ndarray) -> CsrMatrix:

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidDomainError, InvalidPartitionError
+from .sparse import CsrMatrix
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,16 @@ class DofGrid:
         return len(self.csr_indices)
 
     @cached_property
-    def s_factors(self) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-        """(H, P) with ``assemble_S(grid, U).values == P @ (H @ U)``.
+    def s_factors(self) -> tuple[CsrMatrix, CsrMatrix]:
+        """(H, P) with ``assemble_S(grid, U).values == P (H U)``, both CSR.
 
         Row (e, b) of H (3 nel x N, 2 entries per row) holds the weight
         area_e/3 (g_c x g_b) of U[dof_c] for the two c != b, with g the basis
         gradients; the c = b term is identically zero.  Column (e, b) of P
         (nnz_pattern x 3 nel, all ones) adds that value into the slots
-        (dof_a, dof_b), a = 0..2, in element order.
+        (dof_a, dof_b), a = 0..2, in element order.  P is built by columns
+        and converted once: its rows then list their columns in element
+        order, so each slot adds its terms in that order.
         """
         nel = len(self.tri_area)
         b = np.repeat(np.arange(3), 2)
@@ -69,13 +72,12 @@ class DofGrid:
         # components first, so each gather below copies whole rows
         gx, gy = np.ascontiguousarray(self.tri_grads.T)  # (3, nel) each
         weights = (self.tri_area / 3.0) * (gx[c] * gy[b] - gy[c] * gx[b])
-        H = sp.csr_matrix(
-            (
-                weights.T.reshape(-1),
-                self.tri_dofs[:, c].astype(np.int32).reshape(-1),
-                np.arange(0, 6 * nel + 1, 2, dtype=np.int32),
-            ),
-            shape=(3 * nel, self.N),
+        H = CsrMatrix(
+            3 * nel,
+            self.N,
+            np.arange(0, 6 * nel + 1, 2, dtype=np.int32),
+            self.tri_dofs[:, c].astype(np.int32).reshape(-1),
+            weights.T.reshape(-1),
         )
         slots = self.pattern_scatter.reshape(nel, 3, 3).transpose(0, 2, 1)
         P = sp.csc_matrix(
@@ -86,7 +88,7 @@ class DofGrid:
             ),
             shape=(self.nnz_pattern, 3 * nel),
         )
-        return H, P
+        return H, CsrMatrix.from_scipy(P)
 
     @property
     def xs(self):

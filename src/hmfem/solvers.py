@@ -114,8 +114,9 @@ def residual(
 ) -> np.ndarray:
     """F(U, W) stacked as a 2N vector; S_U must be assemble_S at state.U."""
     U, W = state.U, state.W
-    top = matvec(ops.M, W) + tau * matvec(S_U, W) - tau * matvec(ops.R, U) - Z
-    bottom = matvec(ops.K, U) - matvec(ops.M, W)
+    MW = matvec(ops.M, W)
+    top = MW + tau * matvec(S_U, W) - tau * matvec(ops.R, U) - Z
+    bottom = matvec(ops.K, U) - MW
     return np.concatenate([top, bottom])
 
 
@@ -165,9 +166,10 @@ def _cached_elimination(ops: FemOperators, tau: float, work: _Work):
     """-tau R and the inverse of [[-tau R, M], [K, -M]], built once per tau.
 
     K - tau R is formed on the grid's pattern, as every step matrix is.
-    When it is block circulant (a uniform drift gradient), the FFT splits
-    the block matrix into one 2x2 system per mode, whose entries are the
-    symbols rho of -tau R, mu of M and kappa of K, and nothing is factored.
+    The symbols rho of -tau R, mu of M and kappa of K come first: when
+    K - tau R acts as kappa + rho, its symbol by linearity, it is block
+    circulant (a uniform drift gradient), the FFT splits the block matrix
+    into one 2x2 system per mode with these entries, and nothing is factored.
     Otherwise block elimination solves it: adding the block rows gives
     (K - tau R) U = r1 + r2, then M W = r1 + tau R U, with an LU of
     K - tau R, which counts in ``work``, and the FFT solver of M.
@@ -176,8 +178,8 @@ def _cached_elimination(ops: FemOperators, tau: float, work: _Work):
     if key not in ops.cache:
         neg_tau_R = -tau * ops.R
         K_tau_R = replace(ops.K, values=ops.K.values + neg_tau_R.values)
-        if is_block_circulant(K_tau_R):
-            rho, mu, kappa = symbol(neg_tau_R), symbol(ops.M), symbol(ops.K)
+        rho, mu, kappa = symbol(neg_tau_R), symbol(ops.M), symbol(ops.K)
+        if is_block_circulant(K_tau_R, kappa + rho):
             eliminate = SpectralSolver([[rho, mu], [kappa, -mu]]).apply_inverse
         else:
             lu_KR = SparseLu(K_tau_R)

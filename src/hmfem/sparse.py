@@ -5,7 +5,9 @@ of a run lies on the grid's one sparsity pattern, so a sum of them is a sum
 of value arrays, ``replace(A, values=...)``, and ``CsrMatrix`` offers no
 algebra beyond scaling.  ``block2x2``, through ``from_scipy``, is the one
 way off that pattern: it builds the 2N x 2N matrix of the LU fallback.
-scipy.sparse does products and factorizations behind the container.
+``matvec`` runs scipy's compiled CSR kernel on a matrix's own arrays, so a
+step matrix never becomes a scipy object; only the cold paths, ``to_dense``,
+``block2x2`` and ``SparseLu`` (``splu``), build one.
 ``defect_correction`` is the one refinement loop: ``SparseLu`` and
 ``SpectralSolver`` supply the inverses it corrects with.  ``SpectralSolver``
 inverts a 1x1 or 2x2 block of block-circulant matrices mode by mode from
@@ -17,11 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+# Private, so a scipy that moves it fails here, at import;
+# tests/test_sparse.py pins it to ``csr_matrix @ x`` bit for bit.
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NotSpdError, ShapeError, SingularMatrixError
 
@@ -60,19 +66,12 @@ class CsrMatrix:
         m.sort_indices()
         return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
 
-    @cached_property
-    def _sp(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.nrows, self.ncols),
-        )
-
     @property
     def nnz(self) -> int:
         return int(self.row_offsets[self.nrows])
 
     def to_dense(self) -> np.ndarray:
-        return self._sp.toarray()
+        return _scipy_csr(self).toarray()
 
     def __mul__(self, alpha: float) -> "CsrMatrix":
         return CsrMatrix(
@@ -89,12 +88,26 @@ class CsrMatrix:
         return self * -1.0
 
 
+def _scipy_csr(A: CsrMatrix) -> sp.csr_matrix:
+    """A as a scipy matrix, for the cold paths that need one."""
+    return sp.csr_matrix((A.values, A.col_indices, A.row_offsets), shape=(A.nrows, A.ncols))
+
+
 def matvec(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse product A @ x with a fixed per-row accumulation order."""
+    """Sparse product A @ x by scipy's compiled kernel ``csr_matvec``.
+
+    The kernel adds each row's products in stored order into a fresh zero
+    vector: what ``csr_matrix @ x`` computes, bit for bit.  It is called on
+    A's own arrays because a step makes about 28 products with about 5
+    fresh matrices, and at n=17 building a scipy matrix for each and going
+    through its operator took several times the kernel's 3-5 us.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (A.ncols,):
         raise ShapeError(f"matvec needs length {A.ncols}, got shape {x.shape}")
-    return A._sp @ x
+    y = np.zeros(A.nrows)
+    csr_matvec(A.nrows, A.ncols, A.row_offsets, A.col_indices, A.values, x, y)
+    return y
 
 
 def block2x2(A11: CsrMatrix, A12: CsrMatrix, A21: CsrMatrix, A22: CsrMatrix) -> CsrMatrix:
@@ -103,9 +116,8 @@ def block2x2(A11: CsrMatrix, A12: CsrMatrix, A21: CsrMatrix, A22: CsrMatrix) -> 
         raise ShapeError("block rows do not conform")
     if A11.ncols != A21.ncols or A12.ncols != A22.ncols:
         raise ShapeError("block columns do not conform")
-    return CsrMatrix.from_scipy(
-        sp.bmat([[A11._sp, A12._sp], [A21._sp, A22._sp]], format="csr")
-    )
+    blocks = [[_scipy_csr(A11), _scipy_csr(A12)], [_scipy_csr(A21), _scipy_csr(A22)]]
+    return CsrMatrix.from_scipy(sp.bmat(blocks, format="csr"))
 
 
 def defect_correction(b, apply, precond):
@@ -154,7 +166,7 @@ class SparseLu:
         self.n = A.nrows
         self.corrections = 0
         try:
-            self._lu = spla.splu(A._sp.tocsc(), permc_spec=_PERMC_SPEC)
+            self._lu = spla.splu(_scipy_csr(A).tocsc(), permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:  # scipy reports exact singularity this way
             raise SingularMatrixError(f"singular matrix: {exc}", pivot=0.0) from exc
         _checked_pivot(self._lu.U.diagonal())
@@ -211,18 +223,27 @@ class SpectralSolver:
         return _ifft2(self._cols[0] * r1 + self._cols[1] * r2, m).reshape(-1)
 
 
-def is_block_circulant(A: CsrMatrix) -> bool:
-    """Whether A acts on the periodic m x m grid as its symbol does.
+def is_block_circulant(A: CsrMatrix, A_hat: np.ndarray) -> bool:
+    """Whether A acts on the periodic m x m grid as the symbol A_hat does.
 
-    A x by ``matvec`` and by the symbol must agree to 1e-12 relative on a
-    fixed probe x; a drift that varies in space misses this by far more.
+    A_hat is A's ``symbol``, or a sum of its terms' symbols, which the
+    caller may hold already.  A x by ``matvec`` and by A_hat must agree to
+    1e-12 relative on a fixed probe x; a drift that varies in space misses
+    this by far more.
     """
-    A_hat = symbol(A)
     m = len(A_hat)
-    x = np.random.default_rng(0).standard_normal(A.nrows)
+    x = _probe(A.nrows)
     by_symbol = _ifft2(_fft2(x.reshape(m, m)) * A_hat, m).reshape(-1)
     Ax = matvec(A, x)
     return bool(np.linalg.norm(by_symbol - Ax) <= 1e-12 * np.linalg.norm(Ax))
+
+
+@lru_cache(maxsize=4)
+def _probe(n: int) -> np.ndarray:
+    """A fixed read-only standard normal vector of length n (seed 0)."""
+    x = np.random.default_rng(0).standard_normal(n)
+    x.flags.writeable = False
+    return x
 
 
 def symbol(A: CsrMatrix) -> np.ndarray:

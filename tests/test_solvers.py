@@ -31,7 +31,7 @@ from hmfem import (
 from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
 from hmfem.solvers import _cached_elimination, _Work, tau_bound_report
-from hmfem.sparse import SparseLu, SpectralSolver, is_block_circulant
+from hmfem.sparse import SparseLu, SpectralSolver, is_block_circulant, symbol
 
 
 def initial_state(spec, n):
@@ -379,8 +379,9 @@ def test_spectral_elimination_matches_dense_inverse(Lx, Ly, n):
 def test_route_probe_accepts_only_uniform_drift(tid):
     spec = preset(tid)
     ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 17), spec.grad_p)
-    K_tau_R = replace(ops.K, values=ops.K.values - 0.1 * ops.R.values)
-    assert is_block_circulant(K_tau_R) == (tid != 5)
+    neg_tau_R = -0.1 * ops.R
+    K_tau_R = replace(ops.K, values=ops.K.values + neg_tau_R.values)
+    assert is_block_circulant(K_tau_R, symbol(ops.K) + symbol(neg_tau_R)) == (tid != 5)
 
 
 @pytest.mark.parametrize("method", ["newton", "modified"])

@@ -10,14 +10,20 @@ from hmfem import (
     NotSpdError,
     ShapeError,
     SingularMatrixError,
+    SolverConfig,
+    State,
     assemble_mass,
     assemble_operators,
+    assemble_S,
     assemble_stiffness,
     block2x2,
     build_grid,
+    init_w0,
     m_norm,
     matvec,
     preset,
+    sample_nodes,
+    step,
 )
 from hmfem.sparse import SparseLu, SpectralSolver, defect_correction, symbol
 
@@ -76,6 +82,59 @@ def test_matvec_deterministic(rng):
     m = csr(d)
     x = rng.standard_normal(10)
     assert np.array_equal(matvec(m, x), matvec(m, x))
+
+
+@pytest.mark.parametrize(
+    "n, Lx, Ly",
+    [pytest.param(n, np.pi, np.pi, id=str(n)) for n in (3, 4, 17)]
+    + [pytest.param(9, 1.0, 2.0, id="9-1x2")],
+)
+def test_matvec_matches_scipy_bit_for_bit(rng, n, Lx, Ly):
+    # matvec calls scipy's private csr_matvec kernel on the matrix's own
+    # arrays; it must stay the product the public route computes.
+    g = build_grid(Lx, Ly, n)
+    A = CsrMatrix(g.N, g.N, g.csr_indptr, g.csr_indices, rng.standard_normal(g.nnz_pattern))
+    x = rng.standard_normal(g.N)
+    wide = replace(A, row_offsets=A.row_offsets.astype(np.int64))
+    cases = {
+        "pattern": (A, x),
+        "block2x2": (block2x2(A, -A, 2.0 * A, A), rng.standard_normal(2 * g.N)),
+        "strided x": (A, rng.standard_normal(2 * g.N)[::2]),
+        "int64 indices": (replace(wide, col_indices=A.col_indices.astype(np.int64)), x),
+        "integer values": (replace(A, values=rng.integers(-9, 10, g.nnz_pattern)), x),
+    }
+    for name, (B, y) in cases.items():
+        public = sp.csr_matrix((B.values, B.col_indices, B.row_offsets), shape=(B.nrows, B.ncols))
+        ref, got = public @ y, matvec(B, y)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("method", ["newton", "modified"])
+def test_steps_build_no_scipy_matrix(monkeypatch, method):
+    # Step matrices are multiplied on their own arrays: only to_dense,
+    # block2x2, SparseLu and the grid's one-off S factors build scipy ones.
+    from scipy.sparse._base import _spbase
+
+    spec = preset(2)
+    g = build_grid(spec.Lx, spec.Ly, 9)
+    ops = assemble_operators(g, spec.grad_p)
+    U0 = sample_nodes(spec, g)
+    s0 = State(U0, init_w0(ops, U0))
+    assemble_S(g, U0)  # builds the grid's S factors
+    built, original_init = [], _spbase.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_spbase, "__init__", counting_init)
+    ops.M.to_dense()
+    assert built  # the count sees a construction
+    built.clear()
+    for _ in range(2):  # the first step also builds the per-tau inverse
+        s0, report = step(ops, s0, SolverConfig(tau=0.1, method=method))
+        assert report.converged and report.n_factor == 0
+    assert built == []
 
 
 def test_matvec_distributes_over_addition(rng):
