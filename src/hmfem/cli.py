@@ -16,7 +16,7 @@ import numpy as np
 
 # Unused here (snapshots use RunResult.grid); perfbench's tracer hooks this name.
 from .grid import DofGrid, build_grid  # noqa: F401
-from .integrate import DEFAULT_CAP, RunResult, check_run_inputs, run
+from .integrate import DEFAULT_CAP, RunResult, check_run_inputs, run, step_count
 from .problems import preset
 from .solvers import STEPPERS, SolverConfig, State
 
@@ -75,7 +75,18 @@ def parse_args(argv) -> argparse.Namespace:
         check_run_inputs(solver_cfg, ns.T, ns.snapshot_every, ns.cap, ns.n)
     except ValueError as exc:
         parser.error(str(exc))
+    # Names grow with t, so the last step's is the longest; 255 bytes is
+    # the common file systems' limit.
+    if len(snapshot_name(step_count(ns.T, ns.tau) * ns.tau, ns.tau)) > 255:
+        parser.error(f"--tau {ns.tau} and --T {ns.T} make snapshot names over 255 bytes")
     return ns
+
+
+def snapshot_name(t: float, tau: float) -> str:
+    """The file name of the snapshot at time t of a run with step tau."""
+    # Enough decimals that consecutive steps get distinct names, at least 4.
+    decimals = max(4, 1 - math.floor(math.log10(tau)))
+    return f"snapshot_t{t:.{decimals}f}.csv"
 
 
 @functools.lru_cache(maxsize=8)
@@ -144,10 +155,8 @@ def main(argv=None) -> int:
         cap=cfg.cap,
     )
 
-    # Enough decimals that consecutive steps get distinct names, at least 4.
-    decimals = max(4, 1 - math.floor(math.log10(cfg.tau)))
     for t, state in zip(result.state_times, result.states):
-        emit_snapshot(state, result.grid, out / f"snapshot_t{t:.{decimals}f}.csv")
+        emit_snapshot(state, result.grid, out / snapshot_name(t, cfg.tau))
     emit_convergence_log(result, out / "convergence.csv")
 
     print(

@@ -146,6 +146,11 @@ def check_run_inputs(
         raise ValueError(f"grid size n must be at most {MAX_N}, got {n}")
 
 
+def step_count(T: float, tau: float) -> int:
+    """The number of steps of a run to T; the last ends at step_count * tau."""
+    return max(0, math.ceil(T / tau - 1e-10))
+
+
 def run(
     problem: ProblemSpec,
     cfg: SolverConfig,
@@ -177,7 +182,7 @@ def run(
         tau_report=tau_bound_report(ops, state, cfg.tau, problem.p_norm_1inf, T),
     )
 
-    n_steps = max(0, math.ceil(T / cfg.tau - 1e-10))
+    n_steps = step_count(T, cfg.tau)
     for i in range(n_steps):
         t = (i + 1) * cfg.tau
         try:

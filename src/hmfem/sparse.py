@@ -8,18 +8,20 @@ way off that pattern: it builds the 2N x 2N matrix of the LU fallback.
 ``matvec`` runs scipy's compiled CSR kernel on a matrix's own arrays, so a
 step matrix never becomes a scipy object; only the cold paths, ``to_dense``,
 ``block2x2`` and ``SparseLu`` (``splu``), build one.
-``defect_correction`` is the one refinement loop: ``SparseLu`` and
-``SpectralSolver`` supply the inverses it corrects with.  ``SpectralSolver``
-inverts a 1x1 or 2x2 block of block-circulant matrices mode by mode from
-the blocks' symbols (their 2-D FFT), and ``is_block_circulant`` tells
-whether a matrix is one; both go through one pair of transform helpers.
+``defect_correction`` is the one refinement loop: ``SparseLu``, which only
+the fallback of a stalled correction builds, and ``SpectralSolver`` supply
+the inverses it corrects with.  ``SpectralSolver`` inverts a 1x1 or 2x2
+block of block-circulant matrices mode by mode from the blocks' symbols
+(their 2-D FFT).  ``circulant_average`` maps a matrix on a periodic stencil
+to its nearest block-circulant one, so a matrix that is not circulant
+still gets a symbol to precondition with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -223,37 +225,36 @@ class SpectralSolver:
         return _ifft2(self._cols[0] * r1 + self._cols[1] * r2, m).reshape(-1)
 
 
-def is_block_circulant(A: CsrMatrix, A_hat: np.ndarray) -> bool:
-    """Whether A acts on the periodic m x m grid as the symbol A_hat does.
+def circulant_average(A: CsrMatrix) -> CsrMatrix:
+    """T. F. Chan's optimal circulant of A (SIAM J. Sci. Stat. Comput. 9, 1988).
 
-    A_hat is A's ``symbol``, or a sum of its terms' symbols, which the
-    caller may hold already.  A x by ``matvec`` and by A_hat must agree to
-    1e-12 relative on a fixed probe x; a drift that varies in space misses
-    this by far more.
+    On the periodic m x m grid (dof j m + i) each slot of A's pattern gets
+    the mean over all N rows of A's entries at its offset ((j' - j, i' - i)
+    mod m): the block-circulant matrix nearest A in the Frobenius norm, if
+    every row holds each offset of the pattern, as the grid's stencil does.
     """
-    m = len(A_hat)
-    x = _probe(A.nrows)
-    by_symbol = _ifft2(_fft2(x.reshape(m, m)) * A_hat, m).reshape(-1)
-    Ax = matvec(A, x)
-    return bool(np.linalg.norm(by_symbol - Ax) <= 1e-12 * np.linalg.norm(Ax))
-
-
-@lru_cache(maxsize=4)
-def _probe(n: int) -> np.ndarray:
-    """A fixed read-only standard normal vector of length n (seed 0)."""
-    x = np.random.default_rng(0).standard_normal(n)
-    x.flags.writeable = False
-    return x
+    m = _side(A)
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
+    (rj, ri), (cj, ci) = np.divmod(rows, m), np.divmod(A.col_indices, m)
+    offset = (cj - rj) % m * m + (ci - ri) % m
+    means = np.bincount(offset, weights=A.values, minlength=A.nrows) / A.nrows
+    return CsrMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, means[offset])
 
 
 def symbol(A: CsrMatrix) -> np.ndarray:
     """The eigenvalues of a block-circulant A: the 2-D DFT of its first column."""
-    m = math.isqrt(A.nrows)
-    if A.nrows != A.ncols or m * m != A.nrows:
-        raise ShapeError("spectral solve needs a square matrix of m^2 rows")
+    m = _side(A)
     e0 = np.zeros(A.nrows)
     e0[0] = 1.0
     return _fft2(matvec(A, e0).reshape(m, m))
+
+
+def _side(A: CsrMatrix) -> int:
+    """m for a square A of m^2 rows, the dofs of the periodic m x m grid."""
+    m = math.isqrt(A.nrows)
+    if A.nrows != A.ncols or m * m != A.nrows:
+        raise ShapeError("spectral solve needs a square matrix of m^2 rows")
+    return m
 
 
 # rfft2 and irfft2 over the last two axes, spelled out: at m = 16 numpy's

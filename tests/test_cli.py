@@ -40,6 +40,8 @@ def test_parse_no_args_defaults_to_test_1():
         ["--test", "1"],  # missing --out
         ["--T", "1e308", "--out", "d"],  # T/tau overflows at the default tau
         ["--n", "2", "--out", "d"],
+        ["--tau", "1e-300", "--T", "0", "--out", "d"],  # snapshot names over 255 bytes
+        ["--tau", "1e300", "--T", "1e300", "--out", "d"],  # and so is "t1000...0.0000"
     ],
 )
 def test_usage_errors_exit_nonzero(argv):
@@ -63,6 +65,12 @@ def test_numeric_flags_parse_finite_or_exit_2(tau, T, tol, cap):
         and tol > 0
         and T / tau <= MAX_STEPS
     )
+    if valid:
+        # The last snapshot's name, at the time the last step ends, with
+        # at least 4 and 1 - floor(log10 tau) decimals, fits in 255 bytes.
+        last = math.ceil(T / tau - 1e-10) * tau
+        decimals = max(4, 1 - math.floor(math.log10(tau)))
+        valid = len(f"snapshot_t{last:.{decimals}f}.csv") <= 255
     if not valid:
         with pytest.raises(SystemExit) as exc:
             parse_args(argv + ["--out", "d"])
@@ -279,6 +287,21 @@ def test_small_tau_snapshots_get_distinct_names(tmp_path):
     snaps = sorted(p.name for p in out.iterdir() if p.name.startswith("snapshot"))
     times = ["0.000000", "0.000020", "0.000040", "0.000060", "0.000080", "0.000100"]
     assert snaps == [f"snapshot_t{t}.csv" for t in times]
+
+
+def test_tiny_tau_is_refused_before_the_run(tmp_path, capsys):
+    # 239 decimals still name a file; 240 would end the finished run in
+    # an OSError, so that tau is a usage error.
+    out = tmp_path / "tiny"
+    argv = ["--test", "2", "--n", "5", "--T", "0", "--out", str(out)]
+    assert main(argv + ["--tau", "1e-238"]) == 0
+    [name] = [p.name for p in out.iterdir() if p.name.startswith("snapshot")]
+    assert name == "snapshot_t0." + "0" * 239 + ".csv" and len(name) == 255
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tau", "9e-239", "--out", str(tmp_path / "refused")])
+    assert exc.value.code == 2
+    assert "255 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
 
 
 def test_outputs_deterministic_modulo_wall_time(tmp_path):

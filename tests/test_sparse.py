@@ -25,7 +25,13 @@ from hmfem import (
     sample_nodes,
     step,
 )
-from hmfem.sparse import SparseLu, SpectralSolver, defect_correction, symbol
+from hmfem.sparse import (
+    SparseLu,
+    SpectralSolver,
+    circulant_average,
+    defect_correction,
+    symbol,
+)
 
 
 def csr(dense) -> CsrMatrix:
@@ -249,6 +255,28 @@ def test_spectral_inverse_matches_dense(Lx, Ly, n):
         inv = np.linalg.inv(dense)
         cols = np.stack([solver.apply_inverse(e) for e in np.eye(len(dense))], axis=1)
         assert np.abs(cols - inv).max() <= 1e-13 * np.abs(inv).max()
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_circulant_average_is_chans_circulant(rng, n):
+    # Random values on the grid's pattern, which holds the same periodic
+    # offsets in every row (folded through the wrap at n = 3).  Chan's
+    # circulant C has, at offset d, the mean of A's N entries at d.
+    grid = build_grid(1.0, 1.0, n)
+    m, N = n - 1, grid.N
+    values = rng.standard_normal(grid.nnz_pattern)
+    A = CsrMatrix(N, N, grid.csr_indptr, grid.csr_indices, values)
+    Ad = A.to_dense()
+    j, i = np.divmod(np.arange(N), m)
+
+    def shifted(dj, di):
+        return (j + dj) % m * m + (i + di) % m
+
+    C = np.zeros((N, N))
+    for dj in range(m):
+        for di in range(m):
+            C[np.arange(N), shifted(dj, di)] = Ad[np.arange(N), shifted(dj, di)].mean()
+    assert np.allclose(circulant_average(A).to_dense(), C, rtol=0, atol=1e-15)
 
 
 def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
