@@ -14,10 +14,15 @@ M, A and S are integrated exactly (P1 integrands are polynomial of degree
 drift gradient is affine.  The discrete Poisson bracket is antisymmetric,
 so B(W) = -S(W) exactly and B needs no kernel of its own.  All operators
 share the grid's fixed sparsity pattern, so value arrays of different
-operators are aligned slot by slot.  M, A and R are summed from their
-per-element contributions once per run; S(U) is linear in U, so its value
-array is the product of two fixed sparse factors with U, which the grid
-builds on the first ``assemble_S`` and keeps (``DofGrid.s_factors``).
+operators are aligned slot by slot.  M and A, and so K, are translation
+invariant: each is one 7-point stencil summed from the two reference
+triangles' 3x3 local matrices and copied to every row, so they are block
+circulant bit for bit.  R samples the drift at every element's edge
+midpoints and is summed element by element through the scatter map, with
+the reference triangles' gradients; all of it is assembled once per run.
+S(U) is linear in U, so its value array is the product of two fixed
+sparse factors with U, which the grid builds on the first ``assemble_S``
+and keeps (``DofGrid.s_factors``).
 """
 
 from __future__ import annotations
@@ -59,18 +64,28 @@ def pattern_csr(grid: DofGrid, contributions: np.ndarray) -> CsrMatrix:
     return CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, values)
 
 
+def _stencil_csr(grid: DofGrid, local: np.ndarray) -> CsrMatrix:
+    """The block-circulant matrix of the two reference triangles' (2, 3, 3) local matrices.
+
+    Each local pair adds into its stencil offset, so every row holds the
+    same stencil and the matrix is block circulant bit for bit.  The
+    reference triangles' gradients and areas are the first two rows of
+    ``grid.tri_grads`` and ``grid.tri_area``.
+    """
+    stencil = np.bincount(grid.pair_offset.reshape(-1), weights=local.reshape(-1))
+    return CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, stencil[grid.slot_offset])
+
+
 def assemble_mass(grid: DofGrid) -> CsrMatrix:
     """Exact P1 mass matrix; row sums equal h^2 by partition of unity."""
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    vals = np.outer(grid.tri_area, local.reshape(-1)).reshape(-1)
-    return pattern_csr(grid, vals)
+    return _stencil_csr(grid, grid.tri_area[:2, None, None] * local)
 
 
 def assemble_stiffness(grid: DofGrid) -> CsrMatrix:
     """Exact P1 stiffness matrix; constants lie in its kernel."""
-    g = grid.tri_grads
-    vals = grid.tri_area[:, None, None] * (g @ g.transpose(0, 2, 1))
-    return pattern_csr(grid, vals.reshape(-1))
+    g = grid.tri_grads[:2]
+    return _stencil_csr(grid, grid.tri_area[:2, None, None] * (g @ g.transpose(0, 2, 1)))
 
 
 def assemble_R(grid: DofGrid, grad_p) -> CsrMatrix:
@@ -93,11 +108,15 @@ def assemble_R(grid: DofGrid, grad_p) -> CsrMatrix:
         )
     # phi_a at the midpoint of edge (k, k+1); rows k, columns a.
     phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    g = grid.tri_grads
-    # V(p) . grad phi_b at each midpoint k: per element 3x3, rows k, cols b
-    vdotg = -py[:, :, None] * g[:, None, :, 0] + px[:, :, None] * g[:, None, :, 1]
-    vals = (grid.tri_area / 3.0)[:, None, None] * (phi.T @ vdotg)
-    return pattern_csr(grid, vals.reshape(-1))
+    # Entry (a, b) of reference triangle t is the sum over midpoints k and
+    # components d of V(p)_d at k, V(p) = (-p_y, p_x), times
+    # area_t/3 phi_a(k) (grad phi_b)_d: one product of the per-cell
+    # (t, k, d) samples with a block-diagonal (t, k, d) x (t, a, b) matrix.
+    weights = np.einsum(
+        "t,ka,tbd,ts->tkdsab", grid.tri_area[:2] / 3.0, phi, grid.tri_grads[:2], np.eye(2)
+    )
+    V = np.stack([-py, px], axis=-1).reshape(grid.N, 12)
+    return pattern_csr(grid, (V @ weights.reshape(12, 18)).reshape(-1))
 
 
 def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:

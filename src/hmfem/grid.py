@@ -4,22 +4,33 @@ The rectangle ``[0, Lx] x [0, Ly]`` is partitioned into ``(n-1)^2`` cells of
 ``Lx/(n-1)`` by ``Ly/(n-1)`` (``h`` is the first), each split into two
 triangles along the diagonal from the lower-left to the upper-right corner.
 Opposite boundary nodes are identified, so the number of degrees of freedom
-is ``N = (n-1)^2`` rather than ``n^2``.  Grids are immutable after
-construction and safe to share between threads, apart from one lazily
-filled cache, the factors of S(U) (``DofGrid.s_factors``): racing first
-calls may build it twice, with identical results.
+is ``N = (n-1)^2`` rather than ``n^2``.  Every lower triangle is a
+translate of one reference triangle and every upper one of another, so the
+grid is built in closed form from that symmetry: the basis gradients and
+areas are the two reference triangles', repeated per cell, and the shared
+sparsity pattern is the periodic 7-point stencil, whose CSR arrays and
+scatter map come from per-row offsets and gathers.  Grids are immutable
+after construction and safe to share between threads, apart from one
+lazily filled cache, the factors of S(U) (``DofGrid.s_factors``): racing
+first calls may build it twice, with identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidDomainError, InvalidPartitionError
 from .sparse import CsrMatrix
+
+#: The two reference triangles of a cell, lower (ll, lr, ur) and upper
+#: (ll, ur, ul), as (di, dj) vertex offsets from the cell's lower-left node;
+#: both are CCW and share the diagonal from ll to ur.
+_TRIANGLES = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
 
 
 @dataclass(frozen=True)
@@ -28,9 +39,15 @@ class DofGrid:
 
     The element data lives in arrays: ``tri_dofs``, ``tri_coords``,
     ``tri_grads`` and ``tri_area``, in cell-major order (cy, cx) with two
-    triangles per cell.  The grid also carries the fixed sparsity pattern
-    shared by every assembled operator: all of M, A, K, R, S(U) and B(W)
-    live on the element-pair pattern with at most 7 entries per row.
+    triangles per cell.  Every cell repeats the two reference triangles, so
+    ``tri_grads`` and ``tri_area`` repeat their first two rows.  The grid
+    also carries the fixed sparsity pattern shared by every assembled
+    operator: all of M, A, K, R, S(U) and B(W) live on the periodic 7-point
+    stencil, one row per dof, with its columns sorted and offsets that
+    coincide through the wrap (n = 3) folded into one slot.  Each stencil
+    offset has a label: ``pair_offset`` gives the label of each local pair
+    (triangle, a, b) and ``slot_offset`` that of each slot, so a matrix
+    whose rows all hold the same stencil is ``stencil[slot_offset]``.
     ``s_factors``, the two fixed sparse factors of S(U), is built by the
     first ``assemble_S`` on the grid and then cached on it.
     """
@@ -49,6 +66,10 @@ class DofGrid:
     csr_indptr: np.ndarray = field(repr=False)
     csr_indices: np.ndarray = field(repr=False)
     pattern_scatter: np.ndarray = field(repr=False)
+    # Stencil offset labels of the local pairs, (2, 9) with a outer, and of
+    # the slots, (nnz,).
+    pair_offset: np.ndarray = field(repr=False)
+    slot_offset: np.ndarray = field(repr=False)
 
     @property
     def nnz_pattern(self) -> int:
@@ -60,7 +81,8 @@ class DofGrid:
 
         Row (e, b) of H (3 nel x N, 2 entries per row) holds the weight
         area_e/3 (g_c x g_b) of U[dof_c] for the two c != b, with g the basis
-        gradients; the c = b term is identically zero.  Column (e, b) of P
+        gradients; the c = b term is identically zero.  The weights are the
+        two reference triangles', repeated per cell.  Column (e, b) of P
         (nnz_pattern x 3 nel, all ones) adds that value into the slots
         (dof_a, dof_b), a = 0..2, in element order.  P is built by columns
         and converted once: its rows then list their columns in element
@@ -69,15 +91,14 @@ class DofGrid:
         nel = len(self.tri_area)
         b = np.repeat(np.arange(3), 2)
         c = np.array([1, 2, 2, 0, 0, 1])  # the two c != b of each b
-        # components first, so each gather below copies whole rows
-        gx, gy = np.ascontiguousarray(self.tri_grads.T)  # (3, nel) each
-        weights = (self.tri_area / 3.0) * (gx[c] * gy[b] - gy[c] * gx[b])
+        gx, gy = self.tri_grads[:2].transpose(2, 0, 1)  # (2, 3) each
+        weights = (self.tri_area[:2, None] / 3.0) * (gx[:, c] * gy[:, b] - gy[:, c] * gx[:, b])
         H = CsrMatrix(
             3 * nel,
             self.N,
             np.arange(0, 6 * nel + 1, 2, dtype=np.int32),
             self.tri_dofs[:, c].astype(np.int32).reshape(-1),
-            weights.T.reshape(-1),
+            np.tile(weights.reshape(-1), self.N),
         )
         slots = self.pattern_scatter.reshape(nel, 3, 3).transpose(0, 2, 1)
         P = sp.csc_matrix(
@@ -124,33 +145,14 @@ def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
     xs = np.linspace(0.0, Lx, n)
     ys = np.linspace(0.0, Ly, n)
 
-    # Cells in cy-major order, two triangles each; the diagonal runs
-    # lower-left -> upper-right and both triangles are CCW:
-    # (ll, lr, ur) and (ll, ur, ul) as (di, dj) offsets from ll.
-    offsets = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+    # Cells in cy-major order, the two reference triangles each.
     cy, cx = np.divmod(np.arange(N), m)
-    i = (cx[:, None, None] + offsets[None, :, :, 0]).reshape(-1, 3)
-    j = (cy[:, None, None] + offsets[None, :, :, 1]).reshape(-1, 3)
+    i = (cx[:, None, None] + _TRIANGLES[None, :, :, 0]).reshape(-1, 3)
+    j = (cy[:, None, None] + _TRIANGLES[None, :, :, 1]).reshape(-1, 3)
     tri_dofs = (j % m) * m + (i % m)
-    x, y = xs[i], ys[j]
-    tri_coords = np.stack([x, y], axis=-1)
-    (x0, x1, x2), (y0, y1, y2) = x.T, y.T
-    twice_area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    # grad phi_a = (y_{a+1} - y_{a+2}, x_{a+2} - x_{a+1}) / (2 area)
-    gx = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
-    gy = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
-    tri_grads = np.stack([gx, gy], axis=-1) / twice_area[:, None, None]
-    tri_area = 0.5 * np.abs(twice_area)
-
-    # Shared operator pattern: contributions (a, b) over the 3x3 local pairs
-    # of each element, a (row) outer, b (col) inner.
-    rows = np.repeat(tri_dofs, 3, axis=1).reshape(-1)
-    cols = np.tile(tri_dofs, (1, 3)).reshape(-1)
-    keys = rows * N + cols
-    unique_keys, scatter = np.unique(keys, return_inverse=True)
-    indices = (unique_keys % N).astype(np.int32)
-    counts = np.bincount((unique_keys // N).astype(np.int64), minlength=N)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    tri_coords = np.stack([xs[i], ys[j]], axis=-1)
+    grads, area = _reference_triangles(h, Ly / m)
+    indptr, indices, scatter, pair_offset, slot_offset = _stencil_pattern(tri_dofs, m)
 
     return DofGrid(
         n=n,
@@ -160,9 +162,57 @@ def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
         N=N,
         tri_dofs=tri_dofs,
         tri_coords=tri_coords,
-        tri_grads=tri_grads,
-        tri_area=tri_area,
+        tri_grads=np.tile(grads, (N, 1, 1)),
+        tri_area=np.tile(area, N),
         csr_indptr=indptr,
         csr_indices=indices,
         pattern_scatter=scatter,
+        pair_offset=pair_offset,
+        slot_offset=slot_offset,
     )
+
+
+def _reference_triangles(hx: float, hy: float):
+    """Basis gradients (2, 3, 2) and areas (2,) of the lower and upper reference triangles.
+
+    grad phi_a = (y_{a+1} - y_{a+2}, x_{a+2} - x_{a+1}) / (2 area) on the
+    vertices ``_TRIANGLES`` scaled by (hx, hy).
+    """
+    gx, gy = 1.0 / hx, 1.0 / hy
+    grads = np.array([[(-gx, 0.0), (gx, -gy), (0.0, gy)], [(0.0, -gy), (gx, 0.0), (-gx, gy)]])
+    return grads, np.full(2, 0.5 * hx * hy)
+
+
+def _stencil_pattern(tri_dofs: np.ndarray, m: int):
+    """CSR arrays of the periodic stencil, the scatter map and the offset labels.
+
+    Local pair (a, b) of a triangle couples its vertices a and b, whose
+    offset (b - a) mod m is a stencil offset; offsets that coincide through
+    the wrap (m = 2) share a label.  Row (j, i) holds offset (dj, di) in
+    column ((j + dj) mod m, (i + di) mod m); sorting each row's columns
+    gives the CSR order.  The slot of element pair (a, b) is then
+    ``indptr[row]`` plus the rank of its label in the row, with row the dof
+    of vertex a: one gather from the (row, label) table of slots.
+    """
+    labels = {}  # stencil offset (di, dj) mod m -> label
+    pair_offset = np.array(
+        [
+            [
+                labels.setdefault(((bi - ai) % m, (bj - aj) % m), len(labels))
+                for (ai, aj), (bi, bj) in product(tri, tri)
+            ]
+            for tri in _TRIANGLES.tolist()
+        ]
+    )
+    di, dj = np.array(list(labels)).T
+    k, N = len(labels), m * m
+    r = np.arange(m)[:, None]
+    cols = (((r + dj) % m * m)[:, None, :] + ((r + di) % m)[None, :, :]).reshape(N, k)
+    slot_offset = np.argsort(cols, axis=1)  # label of each slot, row by row
+    indices = np.take_along_axis(cols, slot_offset, axis=1).astype(np.int32).reshape(-1)
+    slot = np.empty_like(slot_offset)  # slot of each (row, label)
+    np.put_along_axis(slot, slot_offset, np.arange(N * k).reshape(N, k), axis=1)
+    pairs = k * np.repeat(tri_dofs, 3, axis=1) + np.tile(pair_offset, (N, 1))
+    indptr = np.arange(0, N * k + 1, k, dtype=np.int32)
+    scatter = slot.reshape(-1)[pairs].reshape(-1)
+    return indptr, indices, scatter, pair_offset, slot_offset.reshape(-1)

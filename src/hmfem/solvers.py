@@ -174,7 +174,8 @@ def _cached_elimination(ops: FemOperators, tau: float):
     key = ("elimination", tau)
     if key not in ops.cache:
         neg_tau_R = -tau * ops.R
-        rho, mu, kappa = symbol(circulant_average(neg_tau_R)), symbol(ops.M), symbol(ops.K)
+        average = circulant_average(neg_tau_R, ops.grid.slot_offset)
+        rho, mu, kappa = symbol(average), symbol(ops.M), symbol(ops.K)
         ops.cache[key] = neg_tau_R, SpectralSolver([[rho, mu], [kappa, -mu]]).apply_inverse
     return ops.cache[key]
 

@@ -12,9 +12,9 @@ step matrix never becomes a scipy object; only the cold paths, ``to_dense``,
 the fallback of a stalled correction builds, and ``SpectralSolver`` supply
 the inverses it corrects with.  ``SpectralSolver`` inverts a 1x1 or 2x2
 block of block-circulant matrices mode by mode from the blocks' symbols
-(their 2-D FFT).  ``circulant_average`` maps a matrix on a periodic stencil
-to its nearest block-circulant one, so a matrix that is not circulant
-still gets a symbol to precondition with.
+(their 2-D FFT).  ``circulant_average`` maps a matrix on a periodic stencil,
+given each slot's offset class, to its nearest block-circulant one, so a
+matrix that is not circulant still gets a symbol to precondition with.
 """
 
 from __future__ import annotations
@@ -225,19 +225,16 @@ class SpectralSolver:
         return _ifft2(self._cols[0] * r1 + self._cols[1] * r2, m).reshape(-1)
 
 
-def circulant_average(A: CsrMatrix) -> CsrMatrix:
+def circulant_average(A: CsrMatrix, offset: np.ndarray) -> CsrMatrix:
     """T. F. Chan's optimal circulant of A (SIAM J. Sci. Stat. Comput. 9, 1988).
 
-    On the periodic m x m grid (dof j m + i) each slot of A's pattern gets
-    the mean over all N rows of A's entries at its offset ((j' - j, i' - i)
-    mod m): the block-circulant matrix nearest A in the Frobenius norm, if
-    every row holds each offset of the pattern, as the grid's stencil does.
+    ``offset`` labels each slot of A's pattern with its periodic offset
+    class, as ``DofGrid.slot_offset`` does.  Each slot gets the mean over
+    all N rows of A's entries in its class: the block-circulant matrix
+    nearest A in the Frobenius norm, if every row holds each class once,
+    as the grid's stencil does.
     """
-    m = _side(A)
-    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
-    (rj, ri), (cj, ci) = np.divmod(rows, m), np.divmod(A.col_indices, m)
-    offset = (cj - rj) % m * m + (ci - ri) % m
-    means = np.bincount(offset, weights=A.values, minlength=A.nrows) / A.nrows
+    means = np.bincount(offset, weights=A.values) / A.nrows
     return CsrMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, means[offset])
 
 

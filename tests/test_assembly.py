@@ -20,6 +20,7 @@ from hmfem import (
 )
 from hmfem.assembly import pattern_csr
 from hmfem.oracle import dense_assemble_all
+from hmfem.sparse import circulant_average
 
 
 def assemble_S_loop(grid, U):
@@ -32,6 +33,70 @@ def assemble_S_loop(grid, U):
         ux, uy = U[grid.tri_dofs[e]] @ g  # grad of u_N, constant on the element
         vals[e] = third[e] * (ux * g[:, 1] - uy * g[:, 0])
     return pattern_csr(grid, vals.reshape(-1))
+
+
+def element_geometry(grid):
+    """Basis gradients and areas from each element's own vertices."""
+    x, y = grid.tri_coords[..., 0], grid.tri_coords[..., 1]
+    (x0, x1, x2), (y0, y1, y2) = x.T, y.T
+    twice_area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    gx = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
+    gy = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
+    return np.stack([gx, gy], axis=-1) / twice_area[:, None, None], 0.5 * np.abs(twice_area)
+
+
+def per_element_operators(grid, grad_p):
+    """M, A, K and R value arrays summed element by element from each
+    element's own geometry: a second route to the assembled operators."""
+    g, area = element_geometry(grid)
+    local_M = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    M = pattern_csr(grid, np.outer(area, local_M.reshape(-1)).reshape(-1)).values
+    A = pattern_csr(grid, (area[:, None, None] * (g @ g.transpose(0, 2, 1))).reshape(-1)).values
+    corners = grid.tri_coords
+    mids = 0.5 * (corners + np.roll(corners, -1, axis=1))
+    px, py = (np.broadcast_to(v, mids.shape[:2]) for v in grad_p(mids[..., 0], mids[..., 1]))
+    phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    vdotg = -py[:, :, None] * g[:, None, :, 0] + px[:, :, None] * g[:, None, :, 1]
+    R = pattern_csr(grid, ((area / 3.0)[:, None, None] * (phi.T @ vdotg)).reshape(-1)).values
+    return {"M": M, "A": A, "K": M + A, "R": R}
+
+
+# As for test_S_matches_element_loop: n = 3 folds the stencil through the
+# wrap, the 1 x 3 domain has unequal spacings.
+OPERATOR_GRIDS = [pytest.param(n, np.pi, np.pi, id=str(n)) for n in (3, 4, 5, 17)] + [
+    pytest.param(6, 1.0, 3.0, id="6-1x3")
+]
+
+
+@pytest.mark.parametrize("tid", [2, 5])
+@pytest.mark.parametrize("n, Lx, Ly", OPERATOR_GRIDS)
+def test_geometry_and_operators_match_per_element_formulas(tid, n, Lx, Ly):
+    grad_p = preset(tid).grad_p
+    g = build_grid(Lx, Ly, n)
+    ops = assemble_operators(g, grad_p)
+    grads, area = element_geometry(g)
+    assert np.abs(g.tri_grads - grads).max() <= 1e-13 * np.abs(grads).max()
+    assert np.abs(g.tri_area - area).max() <= 1e-13 * area.max()
+    for name, ref in per_element_operators(g, grad_p).items():
+        scale = np.abs(ref).max() or 1.0
+        assert np.abs(getattr(ops, name).values - ref).max() <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("n, Lx, Ly", OPERATOR_GRIDS)
+def test_M_A_K_are_exactly_block_circulant(n, Lx, Ly):
+    # Every row holds the same stencil, bit for bit.  Chan's average of an
+    # exactly circulant matrix then differs from it only by the round-off
+    # of summing N equal values one by one, under N ulps.
+    g = build_grid(Lx, Ly, n)
+    ops = assemble_operators(g, preset(2).grad_p)
+    k = g.csr_indptr[1]  # the first row's slots: one per stencil offset
+    for A in (ops.M, ops.A, ops.K):
+        stencil = np.empty(k)
+        stencil[g.slot_offset[:k]] = A.values[:k]
+        assert np.array_equal(A.values, stencil[g.slot_offset])
+        averaged = circulant_average(A, g.slot_offset).values
+        eps = np.finfo(float).eps
+        assert np.abs(averaged - A.values).max() <= g.N * eps * np.abs(A.values).max()
 
 
 def test_mass_row_sums_and_total():

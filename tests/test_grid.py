@@ -95,3 +95,54 @@ def test_partition_of_unity():
     vals = 1.0 + np.einsum("ead,epad->epa", grads, pts[:, :, None] - coords[:, None])
     assert vals.shape == (len(g.tri_dofs), 4, 3)
     assert np.allclose(vals.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+
+def reference_pattern(grid):
+    """The element-pair pattern by sorting and deduplicating all 9 nel keys.
+
+    Each local pair (a, b) of each element, a outer, is the key
+    row N + col; the sorted distinct keys are the CSR slots and every
+    pair's position among them is its scatter target.
+    """
+    N = grid.N
+    rows = np.repeat(grid.tri_dofs, 3, axis=1).reshape(-1)
+    cols = np.tile(grid.tri_dofs, (1, 3)).reshape(-1)
+    keys, scatter = np.unique(rows * N + cols, return_inverse=True)
+    counts = np.bincount(keys // N, minlength=N)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    return indptr, (keys % N).astype(np.int32), scatter
+
+
+# n = 3 folds the stencil through the wrap (16 slots, not 28); the 1 x 3
+# domain has unequal spacings.
+PATTERN_GRIDS = [pytest.param(n, 1.0, 1.0, id=str(n)) for n in (3, 4, 5, 6, 17)] + [
+    pytest.param(7, 1.0, 3.0, id="7-1x3")
+]
+
+
+@pytest.mark.parametrize("n, Lx, Ly", PATTERN_GRIDS)
+def test_stencil_pattern_matches_reference_build(n, Lx, Ly):
+    g = build_grid(Lx, Ly, n)
+    indptr, indices, scatter = reference_pattern(g)
+    assert np.array_equal(g.csr_indptr, indptr) and g.csr_indptr.dtype == np.int32
+    assert np.array_equal(g.csr_indices, indices) and g.csr_indices.dtype == np.int32
+    assert np.array_equal(g.pattern_scatter, scatter)
+    assert g.nnz_pattern == (16 if n == 3 else 7 * g.N)
+
+
+@pytest.mark.parametrize("n, Lx, Ly", PATTERN_GRIDS)
+def test_offset_labels_are_the_periodic_offsets(n, Lx, Ly):
+    # A label names one periodic offset ((j' - j) mod m, (i' - i) mod m):
+    # slots with equal labels have equal offsets and vice versa, and each
+    # local pair carries the label of the slot it scatters into.
+    g = build_grid(Lx, Ly, n)
+    m = n - 1
+    rows = np.repeat(np.arange(g.N), np.diff(g.csr_indptr))
+    (rj, ri), (cj, ci) = np.divmod(rows, m), np.divmod(g.csr_indices, m)
+    code = (cj - rj) % m * m + (ci - ri) % m
+    labels = g.slot_offset
+    assert len(np.unique(labels)) == len(np.unique(code))
+    assert len(np.unique(labels * g.N + code)) == len(np.unique(code))
+    pairs = np.tile(g.pair_offset, (g.N, 1)).reshape(-1)
+    assert np.array_equal(labels[g.pattern_scatter], pairs)
+

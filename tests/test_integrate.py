@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hmfem import (
     SolverConfig,
     apriori_check,
     assemble_operators,
+    assemble_S,
     build_grid,
     init_w0,
     preset,
@@ -85,6 +88,24 @@ def test_grid_size_bound_admits_exactly_max_n():
     with pytest.raises(InvalidPartitionError, match="n >= 3"):
         run(preset(1), cfg, T=1.0, n=2)
     assert run(preset(1), cfg, T=0.1, n=3).stop_reason == "reached_T"
+
+
+def test_setup_memory_peak_per_dof():
+    # The peak behind MAX_N: build_grid, assemble_operators and the first
+    # assemble_S traced together peak at 1378 B per dof at n = 65 (1373 and
+    # 1372 at n = 129 and 257); the bound leaves 16% for allocator and
+    # library variation, below the 1.8 KB per dof the per-element grid build
+    # reached.
+    spec = preset(2)
+    tracemalloc.start()
+    try:
+        g = build_grid(spec.Lx, spec.Ly, 65)
+        assemble_operators(g, spec.grad_p)
+        assemble_S(g, np.ones(g.N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.N <= 1600
 
 
 def test_run_times_and_counts():

@@ -382,7 +382,7 @@ def test_circulant_average_keeps_a_uniform_drift_symbol(tid, Lx, Ly, n):
     ops = assemble_operators(build_grid(Lx, Ly, n), preset(tid).grad_p)
     neg_tau_R = -0.1 * ops.R
     exact = symbol(neg_tau_R)
-    averaged = circulant_average(neg_tau_R)
+    averaged = circulant_average(neg_tau_R, ops.grid.slot_offset)
     assert averaged.row_offsets is neg_tau_R.row_offsets
     assert averaged.col_indices is neg_tau_R.col_indices
     assert np.abs(symbol(averaged) - exact).max() <= 1e-13 * np.abs(exact).max()
