@@ -20,9 +20,9 @@ triangles' 3x3 local matrices and copied to every row, so they are block
 circulant bit for bit.  R samples the drift at every element's edge
 midpoints and is summed element by element through the scatter map, with
 the reference triangles' gradients; all of it is assembled once per run.
-S(U) is linear in U, so its value array is the product of two fixed
-sparse factors with U, which the grid builds on the first ``assemble_S``
-and keeps (``DofGrid.s_factors``).
+S(U) is linear in U, so its value array is the product of one fixed
+sparse matrix with U, the grid's closed-form stencil of S, which the grid
+builds on the first ``assemble_S`` and keeps (``DofGrid.s_factor``).
 """
 
 from __future__ import annotations
@@ -123,17 +123,16 @@ def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:
     """Advection matrix S(U)_{I,J} = <V(u_N) . grad phi_J, phi_I>.
 
     Per element the integrand is a constant times phi_I, so area/3 weights
-    are exact; global skew-symmetry holds to round-off because the transport
-    field has continuous edge-normal trace across the mesh.  The values are
-    ``P (H U)`` with the grid's fixed factors ``s_factors``: H gives each
-    element column's weight, area/3 (grad u_N x grad phi_b), and P adds it
-    into the column's three slots.  The first call on a grid builds them.
+    are exact.  Summed over the two triangles of an edge (I, J) they leave
+    +-1/6 (U_k - U_l) on its opposite vertices k and l, and nothing on the
+    diagonal, so S(U) is skew-symmetric with a zero diagonal bit for bit.
+    The values are ``Q U`` with the grid's fixed ``s_factor`` Q, one
+    compiled product; the first call on a grid builds Q.
     """
     U = np.asarray(U, dtype=float)
     if U.shape != (grid.N,):
         raise ShapeError(f"coefficient vector needs length {grid.N}, got {U.shape}")
-    H, P = grid.s_factors
-    values = matvec(P, matvec(H, U))
+    values = matvec(grid.s_factor, U)
     return CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, values)
 
 

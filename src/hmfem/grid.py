@@ -11,8 +11,8 @@ areas are the two reference triangles', repeated per cell, and the shared
 sparsity pattern is the periodic 7-point stencil, whose CSR arrays and
 scatter map come from per-row offsets and gathers.  Grids are immutable
 after construction and safe to share between threads, apart from one
-lazily filled cache, the factors of S(U) (``DofGrid.s_factors``): racing
-first calls may build it twice, with identical results.
+lazily filled cache, the stencil matrix of S(U) (``DofGrid.s_factor``):
+racing first calls may build it twice, with identical results.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidDomainError, InvalidPartitionError
 from .sparse import CsrMatrix
@@ -48,8 +47,8 @@ class DofGrid:
     offset has a label: ``pair_offset`` gives the label of each local pair
     (triangle, a, b) and ``slot_offset`` that of each slot, so a matrix
     whose rows all hold the same stencil is ``stencil[slot_offset]``.
-    ``s_factors``, the two fixed sparse factors of S(U), is built by the
-    first ``assemble_S`` on the grid and then cached on it.
+    ``s_factor``, the fixed sparse matrix Q with S(U) = Q U slot by slot,
+    is built by the first ``assemble_S`` on the grid and then cached on it.
     """
 
     n: int
@@ -76,40 +75,45 @@ class DofGrid:
         return len(self.csr_indices)
 
     @cached_property
-    def s_factors(self) -> tuple[CsrMatrix, CsrMatrix]:
-        """(H, P) with ``assemble_S(grid, U).values == P (H U)``, both CSR.
+    def s_factor(self) -> CsrMatrix:
+        """Q (nnz_pattern x N, CSR) with ``assemble_S(grid, U).values == Q U``.
 
-        Row (e, b) of H (3 nel x N, 2 entries per row) holds the weight
-        area_e/3 (g_c x g_b) of U[dof_c] for the two c != b, with g the basis
-        gradients; the c = b term is identically zero.  The weights are the
-        two reference triangles', repeated per cell.  Column (e, b) of P
-        (nnz_pattern x 3 nel, all ones) adds that value into the slots
-        (dof_a, dof_b), a = 0..2, in element order.  P is built by columns
-        and converted once: its rows then list their columns in element
-        order, so each slot adds its terms in that order.
+        Slot (I, J) of S(U) sums, over the triangles with I at vertex a and
+        J at vertex b, area/3 (g_c x g_b) U[dof_c] for the two c != b, with g
+        the basis gradients.  The weights are the two reference triangles',
+        so they depend only on the slot's stencil label and on c's label
+        seen from I, and are summed per (slot label, column label).  The
+        sums cancel for c = I and on the diagonal; what is left is
+        +-area/3 (g x g) = +-1/6 on the edge's two opposite vertices (summed
+        where offsets fold through the wrap, n = 3), both columns of row I.
+        Each row of Q lists its terms in column-label order.
         """
-        nel = len(self.tri_area)
+        k, N, nnz = int(self.csr_indptr[1]), self.N, self.nnz_pattern
         b = np.repeat(np.arange(3), 2)
         c = np.array([1, 2, 2, 0, 0, 1])  # the two c != b of each b
         gx, gy = self.tri_grads[:2].transpose(2, 0, 1)  # (2, 3) each
         weights = (self.tri_area[:2, None] / 3.0) * (gx[:, c] * gy[:, b] - gy[:, c] * gx[:, b])
-        H = CsrMatrix(
-            3 * nel,
-            self.N,
-            np.arange(0, 6 * nel + 1, 2, dtype=np.int32),
-            self.tri_dofs[:, c].astype(np.int32).reshape(-1),
-            np.tile(weights.reshape(-1), self.N),
+        labels = self.pair_offset.reshape(2, 3, 3)  # (triangle, a, b)
+        pairs = k * labels[:, :, b] + labels[:, :, c]  # (slot label, column label) per term
+        table = np.bincount(
+            pairs.reshape(-1),
+            weights=np.broadcast_to(weights[:, None, :], pairs.shape).reshape(-1),
+            minlength=k * k,
+        ).reshape(k, k)
+        slot_label, col_label = np.nonzero(table)  # one row's terms, label by label
+        count = np.bincount(slot_label, minlength=k).astype(np.int32)
+        by_label = np.empty((N, k), dtype=np.int32)  # row I's column at each label
+        by_label.reshape(-1)[np.arange(0, nnz, k).repeat(k) + self.slot_offset] = self.csr_indices
+        indptr = np.zeros(nnz + 1, dtype=np.int32)
+        np.cumsum(count[self.slot_offset], out=indptr[1:])
+        term = _slot_terms(self.slot_offset, count, indptr)
+        return CsrMatrix(
+            nnz,
+            N,
+            indptr,
+            by_label[:, col_label].reshape(-1)[term],
+            np.tile(table[slot_label, col_label], N)[term],
         )
-        slots = self.pattern_scatter.reshape(nel, 3, 3).transpose(0, 2, 1)
-        P = sp.csc_matrix(
-            (
-                np.ones(9 * nel),
-                slots.astype(np.int32).reshape(-1),
-                np.arange(0, 9 * nel + 1, 3, dtype=np.int32),
-            ),
-            shape=(self.nnz_pattern, 3 * nel),
-        )
-        return H, CsrMatrix.from_scipy(P)
 
     @property
     def xs(self):
@@ -170,6 +174,22 @@ def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
         pair_offset=pair_offset,
         slot_offset=slot_offset,
     )
+
+
+def _slot_terms(slot_offset: np.ndarray, count: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Where each entry of Q, in CSR order, sits among the rows' terms listed label by label.
+
+    Row I holds its ``count.sum()`` terms as one block, label by label; the
+    slot p of row I with label l takes the ``count[l]`` terms of l in that
+    block, and its entries start at ``indptr[p]``.
+    """
+    k, width = len(count), int(count.sum())
+    lengths = count[slot_offset]
+    first = np.arange(0, len(slot_offset) // k * width, width, dtype=np.int32).repeat(k)
+    first += (np.cumsum(count) - count)[slot_offset] - indptr[:-1]
+    term = np.repeat(first.astype(np.intp), lengths)
+    term += np.arange(indptr[-1])
+    return term
 
 
 def _reference_triangles(hx: float, hy: float):

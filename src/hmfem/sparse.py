@@ -7,7 +7,8 @@ algebra beyond scaling.  ``block2x2``, through ``from_scipy``, is the one
 way off that pattern: it builds the 2N x 2N matrix of the LU fallback.
 ``matvec`` runs scipy's compiled CSR kernel on a matrix's own arrays, so a
 step matrix never becomes a scipy object; only the cold paths, ``to_dense``,
-``block2x2`` and ``SparseLu`` (``splu``), build one.
+``block2x2`` and ``SparseLu`` (``splu``), build one.  The 2-D FFTs likewise
+call numpy's compiled pocketfft kernels directly.
 ``defect_correction`` is the one refinement loop: ``SparseLu``, which only
 the fallback of a stalled correction builds, and ``SpectralSolver`` supply
 the inverses it corrects with.  ``SpectralSolver`` inverts a 1x1 or 2x2
@@ -27,8 +28,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# Private, so a scipy that moves it fails here, at import;
-# tests/test_sparse.py pins it to ``csr_matrix @ x`` bit for bit.
+# Private, so a numpy or scipy that moves them fails here, at import;
+# tests/test_sparse.py pins them to ``np.fft.rfft2``/``irfft2`` and to
+# ``csr_matrix @ x`` bit for bit.
+from numpy.fft._pocketfft_umath import fft, ifft, irfft, rfft_n_even, rfft_n_odd
 from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import NotSpdError, ShapeError, SingularMatrixError
@@ -218,8 +221,10 @@ class SpectralSolver:
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
         m = self._m
         if len(self._cols) == 1:
-            # Plain 2-D transforms: on a batch of one, numpy's cost about
-            # 6 us more at m = 16.
+            # On one (m, m) block the transform's output multiplies the
+            # inverse symbol, in that order: numpy's complex product is not
+            # commutative bit for bit, so the stacked route below would move
+            # 1x1 results by round-off.
             return _ifft2(_fft2(r.reshape(m, m)) * self._cols[0][0], m).reshape(-1)
         r1, r2 = _fft2(r.reshape(2, m, m))
         return _ifft2(self._cols[0] * r1 + self._cols[1] * r2, m).reshape(-1)
@@ -232,10 +237,15 @@ def circulant_average(A: CsrMatrix, offset: np.ndarray) -> CsrMatrix:
     class, as ``DofGrid.slot_offset`` does.  Each slot gets the mean over
     all N rows of A's entries in its class: the block-circulant matrix
     nearest A in the Frobenius norm, if every row holds each class once,
-    as the grid's stencil does.
+    as the grid's stencil does.  The mean is taken of each entry's
+    difference to its class's value in row 0, which is added back, so a
+    block-circulant A comes back bit for bit.
     """
-    means = np.bincount(offset, weights=A.values) / A.nrows
-    return CsrMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, means[offset])
+    k = A.row_offsets[1]  # row 0 holds each class once
+    row0 = np.empty(k)
+    row0[offset[:k]] = A.values[:k]
+    spread = np.bincount(offset, weights=A.values - row0[offset], minlength=k) / A.nrows
+    return CsrMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, (row0 + spread)[offset])
 
 
 def symbol(A: CsrMatrix) -> np.ndarray:
@@ -254,14 +264,22 @@ def _side(A: CsrMatrix) -> int:
     return m
 
 
-# rfft2 and irfft2 over the last two axes, spelled out: at m = 16 numpy's
-# n-d wrappers cost more than the transforms.
+# rfft2 and irfft2 over the last two axes of a (..., m, m) array, as numpy's
+# pocketfft gufuncs with the factors and ``out`` arrays np.fft gives them:
+# at m = 16 the np.fft wrappers cost more than the transforms.
+_AXIS_2 = [(-2,), (), (-2,)]
+
+
 def _fft2(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(np.fft.rfft(x), axis=-2)
+    m = x.shape[-1]
+    rfft = rfft_n_even if m % 2 == 0 else rfft_n_odd
+    half = rfft(x, 1, out=np.empty((*x.shape[:-1], m // 2 + 1), dtype=complex))
+    return fft(half, 1, axes=_AXIS_2, out=np.empty_like(half))
 
 
 def _ifft2(xhat: np.ndarray, m: int) -> np.ndarray:
-    return np.fft.irfft(np.fft.ifft(xhat, axis=-2), n=m)
+    full = ifft(xhat, 1 / m, axes=_AXIS_2, out=np.empty_like(xhat))
+    return irfft(full, 1 / m, out=np.empty((*xhat.shape[:-1], m)))
 
 
 def _checked_pivot(diagonal: np.ndarray) -> None:

@@ -84,9 +84,8 @@ def test_geometry_and_operators_match_per_element_formulas(tid, n, Lx, Ly):
 
 @pytest.mark.parametrize("n, Lx, Ly", OPERATOR_GRIDS)
 def test_M_A_K_are_exactly_block_circulant(n, Lx, Ly):
-    # Every row holds the same stencil, bit for bit.  Chan's average of an
-    # exactly circulant matrix then differs from it only by the round-off
-    # of summing N equal values one by one, under N ulps.
+    # Every row holds the same stencil, bit for bit, so Chan's average
+    # returns the matrix unchanged.
     g = build_grid(Lx, Ly, n)
     ops = assemble_operators(g, preset(2).grad_p)
     k = g.csr_indptr[1]  # the first row's slots: one per stencil offset
@@ -94,9 +93,7 @@ def test_M_A_K_are_exactly_block_circulant(n, Lx, Ly):
         stencil = np.empty(k)
         stencil[g.slot_offset[:k]] = A.values[:k]
         assert np.array_equal(A.values, stencil[g.slot_offset])
-        averaged = circulant_average(A, g.slot_offset).values
-        eps = np.finfo(float).eps
-        assert np.abs(averaged - A.values).max() <= g.N * eps * np.abs(A.values).max()
+        assert np.array_equal(circulant_average(A, g.slot_offset).values, A.values)
 
 
 def test_mass_row_sums_and_total():
@@ -189,12 +186,14 @@ def test_S_zero_and_constant_input():
     assert np.abs(assemble_S(g, 3.7 * np.ones(g.N)).values).max() <= 1e-16
 
 
-def test_S_skew_symmetry_and_zero_diagonal(rng):
-    g = build_grid(np.pi, np.pi, 9)
-    U = rng.standard_normal(g.N)
-    Sd = assemble_S(g, U).to_dense()
-    assert np.abs(Sd + Sd.T).max() <= 1e-14
-    assert np.abs(np.diag(Sd)).max() <= 1e-15
+@pytest.mark.parametrize("n, Lx, Ly", OPERATOR_GRIDS)
+def test_S_skew_symmetry_and_zero_diagonal(rng, n, Lx, Ly):
+    # Slot (I, J) and slot (J, I) add the same two products with opposite
+    # weights, and the diagonal adds none: exact, not to round-off.
+    g = build_grid(Lx, Ly, n)
+    Sd = assemble_S(g, rng.standard_normal(g.N)).to_dense()
+    assert np.array_equal(Sd, -Sd.T)
+    assert np.array_equal(np.diag(Sd), np.zeros(g.N))
 
 
 @given(a=st.floats(-5, 5, allow_nan=False), b=st.floats(-5, 5, allow_nan=False))
@@ -227,19 +226,41 @@ def test_S_matches_element_loop(rng, n, Lx, Ly):
     assert np.array_equal(assemble_B(g, W).values, -assemble_S(g, W).values)
 
 
-def test_S_factors_built_lazily_once_per_grid(rng):
+def test_S_factor_built_lazily_once_per_grid(rng):
     spec = preset(2)
     g = build_grid(spec.Lx, spec.Ly, 9)
     init_w0(assemble_operators(g, spec.grad_p), sample_nodes(spec, g))
-    assert "s_factors" not in vars(g)  # set-up builds no factors
+    assert "s_factor" not in vars(g)  # set-up builds no factor
     assemble_S(g, rng.standard_normal(g.N))
-    H, P = vars(g)["s_factors"]
+    Q = vars(g)["s_factor"]
+    assert (Q.nrows, Q.ncols) == (g.nnz_pattern, g.N)
     assemble_S(g, rng.standard_normal(g.N))
-    assert vars(g)["s_factors"][0] is H and vars(g)["s_factors"][1] is P
+    assert vars(g)["s_factor"] is Q
     other = build_grid(spec.Lx, spec.Ly, 9)
     assemble_B(other, rng.standard_normal(other.N))
-    H2, P2 = vars(other)["s_factors"]
-    assert H2 is not H and P2 is not P
+    assert vars(other)["s_factor"] is not Q
+
+
+@pytest.mark.parametrize(
+    "n, Lx, Ly", [pytest.param(9, np.pi, np.pi, id="9"), pytest.param(9, 1.0, 3.0, id="9-1x3")]
+)
+def test_S_factor_is_the_edge_stencil(n, Lx, Ly):
+    # Slot (I, J) weighs the edge's two opposite vertices by +-1/6, for any
+    # spacing; the diagonal slots weigh nothing.
+    g = build_grid(Lx, Ly, n)
+    Q = g.s_factor
+    lengths = np.diff(Q.row_offsets)
+    rows = np.repeat(np.arange(g.N), np.diff(g.csr_indptr))
+    diagonal = g.csr_indices == rows
+    assert np.all(lengths[diagonal] == 0) and np.all(lengths[~diagonal] == 2)
+    assert np.allclose(np.abs(Q.values), 1 / 6, rtol=1e-15, atol=0)
+    pairs = Q.values.reshape(-1, 2)
+    assert np.array_equal(pairs[:, 0], -pairs[:, 1])
+    neighbours = g.csr_indices.reshape(g.N, -1)
+    for p in np.flatnonzero(~diagonal):
+        columns = Q.col_indices[Q.row_offsets[p] : Q.row_offsets[p + 1]]
+        assert np.isin(columns, neighbours[rows[p]]).all()
+        assert not np.isin(columns, [rows[p], g.csr_indices[p]]).any()
 
 
 def test_S_shape_error():

@@ -92,10 +92,10 @@ def test_grid_size_bound_admits_exactly_max_n():
 
 def test_setup_memory_peak_per_dof():
     # The peak behind MAX_N: build_grid, assemble_operators and the first
-    # assemble_S traced together peak at 1378 B per dof at n = 65 (1373 and
-    # 1372 at n = 129 and 257); the bound leaves 16% for allocator and
-    # library variation, below the 1.8 KB per dof the per-element grid build
-    # reached.
+    # assemble_S traced together peak at 1152 B per dof at n = 65 (1150 at
+    # n = 129 and 257), set by assemble_operators; the S factor's build
+    # peaks at 1115.  The bound leaves 16% for allocator and library
+    # variation.
     spec = preset(2)
     tracemalloc.start()
     try:
@@ -105,7 +105,7 @@ def test_setup_memory_peak_per_dof():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / g.N <= 1600
+    assert peak / g.N <= 1340
 
 
 def test_run_times_and_counts():

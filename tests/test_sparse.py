@@ -28,6 +28,8 @@ from hmfem import (
 from hmfem.sparse import (
     SparseLu,
     SpectralSolver,
+    _fft2,
+    _ifft2,
     circulant_average,
     defect_correction,
     symbol,
@@ -115,18 +117,25 @@ def test_matvec_matches_scipy_bit_for_bit(rng, n, Lx, Ly):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
+@pytest.mark.parametrize("m", [3, 4, 16, 17])
+def test_fft2_matches_numpy_bit_for_bit(rng, m):
+    # _fft2 and _ifft2 call numpy's private pocketfft gufuncs; they must
+    # stay the transforms the public np.fft routes compute.
+    for shape in [(m, m), (2, m, m)]:
+        x = rng.standard_normal(shape)
+        ref = np.fft.rfft2(x)
+        got = _fft2(x)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), shape
+        back = np.fft.irfft2(ref, s=(m, m))
+        assert _ifft2(ref, m).tobytes() == back.tobytes(), shape
+
+
 @pytest.mark.parametrize("method", ["newton", "modified"])
 def test_steps_build_no_scipy_matrix(monkeypatch, method):
     # Step matrices are multiplied on their own arrays: only to_dense,
-    # block2x2, SparseLu and the grid's one-off S factors build scipy ones.
+    # block2x2 and SparseLu build scipy ones, and set-up builds none.
     from scipy.sparse._base import _spbase
 
-    spec = preset(2)
-    g = build_grid(spec.Lx, spec.Ly, 9)
-    ops = assemble_operators(g, spec.grad_p)
-    U0 = sample_nodes(spec, g)
-    s0 = State(U0, init_w0(ops, U0))
-    assemble_S(g, U0)  # builds the grid's S factors
     built, original_init = [], _spbase.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -134,6 +143,13 @@ def test_steps_build_no_scipy_matrix(monkeypatch, method):
         original_init(self, *args, **kwargs)
 
     monkeypatch.setattr(_spbase, "__init__", counting_init)
+    spec = preset(2)
+    g = build_grid(spec.Lx, spec.Ly, 9)
+    ops = assemble_operators(g, spec.grad_p)
+    U0 = sample_nodes(spec, g)
+    s0 = State(U0, init_w0(ops, U0))
+    assemble_S(g, U0)  # builds the grid's S factor
+    assert built == []
     ops.M.to_dense()
     assert built  # the count sees a construction
     built.clear()
