@@ -40,12 +40,12 @@ from .sparse import CsrMatrix, matvec
 class FemOperators:
     """The fixed matrices of one grid/problem pair; assembled once per run.
 
-    ``cache`` holds the run's solvers, each built once: the FFT solvers
-    (``SpectralSolver``) of M and K, through ``solvers.cached_solver``, and
-    per tau the pair (-tau R, inverse of [[-tau R, M], [K, -M]]).  That
-    inverse is a ``SpectralSolver`` of the 2x2 block of symbols, exact when
-    the drift is uniform and approximate otherwise.  The cache never
-    affects results.
+    ``cache`` holds the run's solvers, each built once: the FFT inverses
+    (``SpectralSolver``) of M and K with their rounding floors, through
+    ``solvers.cached_solver``, and per tau the triple (-tau R, inverse of
+    [[-tau R, M], [K, -M]], its rounding floor).  That inverse is a
+    ``SpectralSolver`` of the 2x2 block of symbols, exact when the drift is
+    uniform and approximate otherwise.  The cache never affects results.
     """
 
     M: CsrMatrix

@@ -99,11 +99,12 @@ class RunResult:
 def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
     """Initial W from the elliptic constraint: solve M W0 = K U0.
 
-    Corrected against the run's cached FFT inverse of M; a solve that
-    misses the residual contract raises ``SingularMatrixError``.
+    Corrected against the run's cached FFT inverse of M, down to M's
+    rounding floor; a solve that misses the residual contract raises
+    ``SingularMatrixError``.
     """
-    inv_M = cached_solver(ops, "M").apply_inverse
-    W0, _ = defect_correction(matvec(ops.K, U0), partial(matvec, ops.M), inv_M)
+    inv_M, floor_M = cached_solver(ops, "M")
+    W0, _ = defect_correction(matvec(ops.K, U0), partial(matvec, ops.M), inv_M, floor_M)
     return W0
 
 

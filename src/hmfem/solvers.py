@@ -28,10 +28,11 @@ states), with -tau R replaced by its nearest block-circulant matrix
 uniform and a close approximate inverse when it varies in space; either
 way nothing is factored.  Every solve inside a step goes through
 ``_Work.solve``: it refuses a non-finite right-hand side, corrects against
-a nearby inverse, falls back to a fresh LU of the system when the
-correction stalls, and counts the corrections and LUs.  ``ops.cache``
-keeps the FFT solvers of M and K and, per tau, -tau R with the inverse of
-the state-free matrix.
+a nearby inverse down to the residual's rounding floor, falls back to a
+fresh LU of the system when the correction stalls, and counts the
+corrections and LUs.  ``ops.cache`` keeps the FFT inverses of M and K and,
+per tau, -tau R with the inverse of the state-free matrix, each with the
+rounding floor of its matrix, so a floor costs no set-up per step.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ from .sparse import (
     block2x2,
     circulant_average,
     defect_correction,
+    inf_norm,
     m_norm,
     matvec,
+    rounding_floor,
     symbol,
 )
 
@@ -139,14 +142,18 @@ class _Work:
     n_factor: int = 0
     n_linear_iters: int = 0
 
-    def solve(self, b, apply, precond, matrix) -> np.ndarray:
-        """Solve A x = b by correction against precond, or by an LU of matrix()."""
+    def solve(self, b, apply, precond, matrix, floor) -> np.ndarray:
+        """Solve A x = b by correction against precond, or by an LU of matrix().
+
+        The correction stops at ``floor``, the rounding floor of b - A x
+        (``sparse.rounding_floor``); the LU at that of its own matrix.
+        """
         with np.errstate(over="ignore"):  # an overflowing norm is reported below
             bnorm = np.linalg.norm(b)
         if not math.isfinite(bnorm):
             raise NonFiniteError(f"non-finite right-hand side (norm {bnorm})")
         try:
-            x, k = defect_correction(b, apply, precond)
+            x, k = defect_correction(b, apply, precond, floor)
         except SingularMatrixError as exc:
             self.n_linear_iters += exc.corrections
             lu = SparseLu(matrix())
@@ -156,27 +163,48 @@ class _Work:
         return x
 
 
-def cached_solver(ops: FemOperators, name: str) -> SpectralSolver:
-    """The run's FFT solver of ``ops.M`` or ``ops.K`` (``name`` "M" or "K")."""
+def cached_solver(ops: FemOperators, name: str):
+    """The run's FFT inverse of ``ops.M`` or ``ops.K`` (``name`` "M" or "K").
+
+    Returns the pair (``apply_inverse`` of a ``SpectralSolver``, the
+    matrix's rounding floor).
+    """
     if name not in ops.cache:
-        ops.cache[name] = SpectralSolver([[symbol(getattr(ops, name))]])
+        A = getattr(ops, name)
+        inverse = SpectralSolver([[symbol(A)]]).apply_inverse
+        ops.cache[name] = inverse, rounding_floor(_stencil_norm(A))
     return ops.cache[name]
 
 
+def _stencil_norm(A: CsrMatrix) -> float:
+    """||A||_inf of a block-circulant A, such as M and K: row 0's absolute sum.
+
+    Every row holds the same stencil, so one row gives the norm.
+    """
+    return float(np.abs(A.values[: A.row_offsets[1]]).sum())
+
+
 def _cached_elimination(ops: FemOperators, tau: float):
-    """-tau R and the per-mode inverse of [[-tau R, M], [K, -M]], built once per tau.
+    """-tau R, the inverse of [[-tau R, M], [K, -M]] and its rounding floor, once per tau.
 
     The inverse is a ``SpectralSolver`` of the symbols of M, K and the
     ``circulant_average`` of -tau R, exact up to round-off when the drift
     gradient is uniform (tests 1-4); on test 5 each defect correction
     against it multiplies the residual by about 1e-2.  Nothing is factored.
+    The floor is that of the state-free matrix, eps ((||-tau R||_inf +
+    ||K||_inf) ||U|| + 2 ||M||_inf ||W||): tau S and tau B are small
+    against its blocks where the correction converges.
     """
     key = ("elimination", tau)
     if key not in ops.cache:
         neg_tau_R = -tau * ops.R
         average = circulant_average(neg_tau_R, ops.grid.slot_offset)
         rho, mu, kappa = symbol(average), symbol(ops.M), symbol(ops.K)
-        ops.cache[key] = neg_tau_R, SpectralSolver([[rho, mu], [kappa, -mu]]).apply_inverse
+        eliminate = SpectralSolver([[rho, mu], [kappa, -mu]]).apply_inverse
+        floor = rounding_floor(
+            inf_norm(neg_tau_R) + _stencil_norm(ops.K), 2.0 * _stencil_norm(ops.M)
+        )
+        ops.cache[key] = neg_tau_R, eliminate, floor
     return ops.cache[key]
 
 
@@ -257,7 +285,7 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     M, N = ops.M, ops.grid.N
     work = _Work()
     # -tau R is C of every inner system without B.
-    neg_tau_R, eliminate = _cached_elimination(ops, tau)
+    neg_tau_R, eliminate, floor = _cached_elimination(ops, tau)
     Z = matvec(M, state_t.W)
     zeros = np.zeros(N)
     rhs, precond = None, eliminate
@@ -289,7 +317,7 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
                 # Keep this grouping: a regrouped sum rounds differently.
                 g = tau * matvec(S, state_t.W - W) + tau * matvec(S_A, W) + Z
             rhs = np.concatenate([g, zeros])
-        sol = work.solve(rhs, apply, precond, matrix)
+        sol = work.solve(rhs, apply, precond, matrix, floor)
         err = _checked_rel_err(sol, U)
         U, W = sol[:N], sol[N:]
         k += 1
@@ -321,8 +349,9 @@ def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
 
     (M + tau S(U(t))) W(t+tau) = M W(t) + tau R U(t), then K U(t+tau) = M W(t+tau),
     both through ``_Work.solve``: the first corrected against the run's FFT
-    inverse of M, the second against that of K, so no LU is built unless a
-    correction stalls.  Cheap, but unstable over long horizons; the reported
+    inverse of M, down to M's rounding floor (tau S is small against M),
+    the second against that of K, so no LU is built unless a correction
+    stalls.  Cheap, but unstable over long horizons; the reported
     residual_norm is the defect of the fully implicit system at the
     produced state.
     """
@@ -334,10 +363,10 @@ def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
     S_t = assemble_S(ops.grid, state_t.U)
     D = replace(M, values=M.values + tau * S_t.values)
     rhs = Z + tau * matvec(ops.R, state_t.U)
-    inv_M = cached_solver(ops, "M").apply_inverse
-    inv_K = cached_solver(ops, "K").apply_inverse
-    W_new = work.solve(rhs, partial(matvec, D), inv_M, lambda: D)
-    U_new = work.solve(matvec(M, W_new), partial(matvec, K), inv_K, lambda: K)
+    inv_M, floor_M = cached_solver(ops, "M")
+    inv_K, floor_K = cached_solver(ops, "K")
+    W_new = work.solve(rhs, partial(matvec, D), inv_M, lambda: D, floor_M)
+    U_new = work.solve(matvec(M, W_new), partial(matvec, K), inv_K, lambda: K, floor_K)
     err = _checked_rel_err(np.concatenate([U_new, W_new]), state_t.U)
     state = State(U_new, W_new)
     return state, _report(ops, state, Z, cfg, 1, err, t0, work, converged=True)

@@ -11,9 +11,12 @@ step matrix never becomes a scipy object; only the cold paths, ``to_dense``,
 call numpy's compiled pocketfft kernels directly.
 ``defect_correction`` is the one refinement loop: ``SparseLu``, which only
 the fallback of a stalled correction builds, and ``SpectralSolver`` supply
-the inverses it corrects with.  ``SpectralSolver`` inverts a 1x1 or 2x2
-block of block-circulant matrices mode by mode from the blocks' symbols
-(their 2-D FFT).  ``circulant_average`` maps a matrix on a periodic stencil,
+the inverses it corrects with.  It stops once the residual meets the
+contract and lies at its own rounding floor, eps ||A||_inf ||x|| per block
+column (``rounding_floor``), below which a correction only stirs
+round-off.  ``SpectralSolver`` inverts a 1x1 or 2x2 block of
+block-circulant matrices mode by mode from the blocks' symbols (their 2-D
+FFT).  ``circulant_average`` maps a matrix on a periodic stencil,
 given each slot's offset class, to its nearest block-circulant one, so a
 matrix that is not circulant still gets a symbol to precondition with.
 """
@@ -42,10 +45,14 @@ EPS_FLOOR = 1e-300
 #: Relative residual contract of every solve (``defect_correction``).
 SOLVE_RTOL = 1e-10
 
-#: ``defect_correction`` stops once the relative residual is at round-off, or
-#: after this many corrections.
+#: ``defect_correction`` stops once the relative residual is below this, or
+#: below the solve's rounding floor once it meets ``SOLVE_RTOL``, or after
+#: this many corrections.
 _ROUNDOFF_RTOL = 1e-15
 _MAX_CORRECTIONS = 20
+
+#: Machine epsilon, the unit of ``rounding_floor``.
+_EPS = float(np.finfo(float).eps)
 
 #: Fill-reducing ordering; the assembled systems have symmetric patterns.
 _PERMC_SPEC = "MMD_AT_PLUS_A"
@@ -125,22 +132,32 @@ def block2x2(A11: CsrMatrix, A12: CsrMatrix, A21: CsrMatrix, A22: CsrMatrix) -> 
     return CsrMatrix.from_scipy(sp.bmat(blocks, format="csr"))
 
 
-def defect_correction(b, apply, precond):
+def defect_correction(b, apply, precond, floor=None):
     """Solve ``A x = b`` by defect correction, ``x += P (b - A x)``.
 
     ``apply(x)`` is ``A x``; ``precond`` applies P, the exact or approximate
     inverse of a nearby matrix.  Corrections continue while the residual at
-    least halves and lies above round-off, at most 20 times.  The result must
-    then honor ||Ax-b|| / max(||b||, eps) <= 1e-10, or ``SingularMatrixError``
-    is raised with the corrections made; a NaN residual never passes.
+    least halves, at most 20 times, and until it falls below 1e-15 relative
+    or, once it meets the contract, below ``floor(x)``: the rounding floor of
+    ``b - A x`` (``rounding_floor``), evaluated at most once per solve.  A
+    computed residual that small is round-off (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 12), so a
+    correction would not improve x.  The result must honor
+    ||Ax-b|| / max(||b||, eps) <= 1e-10, or ``SingularMatrixError`` is
+    raised with the corrections made; a NaN residual never passes.
     Returns x and the number of corrections.
     """
     bnorm = max(np.linalg.norm(b), EPS_FLOOR)
     x = precond(b)
     r = b - apply(x)
     res = np.linalg.norm(r) / bnorm
+    stop = _ROUNDOFF_RTOL
     k = 0
-    while res > _ROUNDOFF_RTOL and k < _MAX_CORRECTIONS:
+    while res > stop and k < _MAX_CORRECTIONS:
+        if floor is not None and res <= SOLVE_RTOL:
+            stop, floor = max(stop, floor(x) / bnorm), None
+            if res <= stop:
+                break
         x_new = x + precond(r)
         r_new = b - apply(x_new)
         res_new = np.linalg.norm(r_new) / bnorm
@@ -156,11 +173,36 @@ def defect_correction(b, apply, precond):
     return x, k
 
 
+def rounding_floor(*scales):
+    """The rounding floor of ``b - A x`` for a k x k block A, k = len(scales).
+
+    ``scales[j]`` bounds block column j: the sum over block rows i of
+    ||A_ij||_inf, the largest absolute row sum.  The floor, x ->
+    eps sum_j scales[j] ||x_j||, then bounds eps || |A| |x| ||, the
+    round-off of forming A x, when every |A_ij| is symmetric, as on the
+    grid's symmetric pattern (||B||_2 <= ||B||_inf for symmetric B).
+    """
+    weights = _EPS * np.asarray(scales, dtype=float)
+
+    def floor(x):
+        return float(weights @ np.linalg.norm(x.reshape(len(weights), -1), axis=1))
+
+    return floor
+
+
+def inf_norm(A: CsrMatrix) -> float:
+    """||A||_inf, the largest absolute row sum."""
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
+    sums = np.bincount(rows, weights=np.abs(A.values), minlength=A.nrows)
+    return float(sums.max(initial=0.0))
+
+
 class SparseLu:
     """Reusable LU factorization of a square CsrMatrix.
 
     ``solve(b)`` refines ``apply_inverse(b)`` with ``defect_correction``
-    against the factored matrix; ``corrections`` holds the number of
+    against the factored matrix, down to the rounding floor of its
+    ||A||_inf, taken once here; ``corrections`` holds the number of
     corrections the last successful solve made.
     """
 
@@ -175,6 +217,7 @@ class SparseLu:
         except RuntimeError as exc:  # scipy reports exact singularity this way
             raise SingularMatrixError(f"singular matrix: {exc}", pivot=0.0) from exc
         _checked_pivot(self._lu.U.diagonal())
+        self._floor = rounding_floor(inf_norm(A))
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
         return self._lu.solve(r)
@@ -184,7 +227,7 @@ class SparseLu:
         if b.shape != (self.n,):
             raise ShapeError(f"rhs needs length {self.n}, got shape {b.shape}")
         x, self.corrections = defect_correction(
-            b, partial(matvec, self._A), self.apply_inverse
+            b, partial(matvec, self._A), self.apply_inverse, self._floor
         )
         return x
 

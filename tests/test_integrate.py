@@ -184,9 +184,9 @@ def test_non_finite_iterate_stops_run(monkeypatch, method):
     original = _Work.solve
     calls = {"n": 0}
 
-    def nan_after_first_step(self, b, apply, precond, matrix):
+    def nan_after_first_step(self, b, apply, precond, matrix, floor):
         calls["n"] += 1
-        x = original(self, b, apply, precond, matrix)
+        x = original(self, b, apply, precond, matrix, floor)
         return x if calls["n"] <= 2 else np.full_like(x, np.nan)
 
     monkeypatch.setattr(_Work, "solve", nan_after_first_step)

@@ -29,8 +29,14 @@ from hmfem import (
 )
 from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
-from hmfem.solvers import _cached_elimination, _Work, tau_bound_report
-from hmfem.sparse import SparseLu, SpectralSolver, circulant_average
+from hmfem.solvers import _cached_elimination, _Work, cached_solver, tau_bound_report
+from hmfem.sparse import (
+    SparseLu,
+    SpectralSolver,
+    circulant_average,
+    inf_norm,
+    rounding_floor,
+)
 
 
 def initial_state(spec, n):
@@ -167,13 +173,13 @@ def test_chord_first_iteration_equals_newton():
 
 
 def spy_solves(monkeypatch):
-    """Record (b, apply, precond, matrix, x) of every ``_Work.solve``."""
+    """Record (b, apply, precond, matrix, floor, x) of every ``_Work.solve``."""
     solves = []
     original = _Work.solve
 
-    def spy(self, b, apply, precond, matrix):
-        x = original(self, b, apply, precond, matrix)
-        solves.append((b, apply, precond, matrix, x))
+    def spy(self, b, apply, precond, matrix, floor):
+        x = original(self, b, apply, precond, matrix, floor)
+        solves.append((b, apply, precond, matrix, floor, x))
         return x
 
     monkeypatch.setattr(_Work, "solve", spy)
@@ -185,7 +191,8 @@ def test_block_elimination_matches_block_lu(monkeypatch, rng):
     N, tau = ops.grid.N, 0.1
     solves = spy_solves(monkeypatch)
     step_modified(ops, s0, SolverConfig(tau=tau, k_max=1))
-    [(_, _, eliminate, _, _)] = solves
+    [(_, _, eliminate, _, floor, _)] = solves
+    assert floor is _cached_elimination(ops, tau)[2]
     b = rng.standard_normal(2 * N)
     ref = SparseLu(block2x2(-tau * ops.R, ops.M, ops.K, -ops.M)).solve(b)
     assert np.linalg.norm(eliminate(b) - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -258,13 +265,48 @@ def test_eliminations_per_step(monkeypatch, stepper, n_rhs):
     for tid in (2, 5):
         ops, s0 = initial_state(preset(tid), 17)
         step_modified(ops, s0, cfg)  # builds the run's elimination outside the count
-        neg_tau_R, eliminate = ops.cache[key]
+        neg_tau_R, eliminate, floor = ops.cache[key]
         calls = []
-        ops.cache[key] = neg_tau_R, lambda r: calls.append(r) or eliminate(r)
+        ops.cache[key] = neg_tau_R, lambda r: calls.append(r) or eliminate(r), floor
         _, rep = stepper(ops, s0, cfg)
         assert rep.iterations == 2 and rep.n_factor == 0
         assert (rep.n_linear_iters > 0) == (tid == 5)
         assert len(calls) == n_rhs + rep.n_linear_iters
+
+
+@pytest.mark.parametrize("method", ["newton", "chord", "modified"])
+def test_corrections_stop_at_the_rounding_floor(method):
+    # At n=65 the exact elimination of tests 1 and 2 leaves a first
+    # residual of 2e-15 to 1e-14 relative: above 1e-15 but below the
+    # residual's rounding floor, so no solve corrects it (a fixed 1e-15
+    # stop made 24-28 corrections per T=1 run, all on round-off).
+    cfg = SolverConfig(tau=0.1, method=method)
+    for tid in (1, 2):
+        res = run(preset(tid), cfg, T=0.3, n=65)
+        assert res.total_linear_iterations() == 0
+    # Test 4's first residual (about 6e-10) is real error: one correction
+    # per solve brings it to the floor.
+    res = run(preset(4), cfg, T=0.3, n=65)
+    assert all(r.n_linear_iters == r.iterations for r in res.reports)
+    # Test 5's inverse is approximate; its corrections do not change.
+    res = run(preset(5), cfg, T=1.0, n=17)
+    assert res.total_linear_iterations() == 100
+
+
+def test_cached_floors_use_the_operator_norms():
+    # M and K are block circulant, so row 0's absolute sum is their norm.
+    spec = preset(5)
+    ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 9), spec.grad_p)
+    tau, N = 0.1, ops.grid.N
+    x = np.arange(2.0 * N)
+    for name in ("M", "K"):
+        _, floor = cached_solver(ops, name)
+        ref = rounding_floor(inf_norm(getattr(ops, name)))(x[:N])
+        assert floor(x[:N]) == pytest.approx(ref, rel=1e-14)
+    _, _, floor = _cached_elimination(ops, tau)
+    M, K = inf_norm(ops.M), inf_norm(ops.K)
+    ref = rounding_floor(inf_norm(-tau * ops.R) + K, 2.0 * M)(x)
+    assert floor(x) == pytest.approx(ref, rel=1e-14)
 
 
 def test_modified_tau_small_is_state_independent_map(rng):
@@ -322,7 +364,7 @@ def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
     # A fresh LU for every inner solve; the drift is uniform, so the
     # state-free matrix is inverted per Fourier mode and not factored.
     assert rep.n_factor == rep.iterations
-    for b, _, _, matrix, x in solves:
+    for b, _, _, matrix, _, x in solves:
         ref = SparseLu(matrix()).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -330,17 +372,19 @@ def test_large_data_falls_back_to_fresh_lu(monkeypatch, stepper):
 @pytest.mark.parametrize("stepper", [step_newton, step_chord, step_modified])
 def test_cache_holds_one_elimination_per_tau(monkeypatch, stepper):
     # Per tau a run caches -tau R, which every step's systems use, with the
-    # per-mode inverse of [[-tau R, M], [K, -M]], on a uniform drift
-    # (preset 2) and a varying one (preset 5) alike.  The only other entry
-    # is M's FFT solver, built by init_w0.
+    # per-mode inverse of [[-tau R, M], [K, -M]] and its rounding floor, on
+    # a uniform drift (preset 2) and a varying one (preset 5) alike.  The
+    # only other entry is M's FFT inverse with its floor, built by init_w0.
     import hmfem.solvers as sv
 
     original = sv._form_system
+    solves = spy_solves(monkeypatch)
     cfg = SolverConfig(tau=0.1)
     for tid in (2, 5):
         ops, s0 = initial_state(preset(tid), 9)
-        solver_M = ops.cache["M"]
+        entry_M = ops.cache["M"]
         used = []
+        solves.clear()
 
         def spy(ops, tau, neg_tau_R, S, B=None):
             used.append(neg_tau_R)
@@ -349,11 +393,13 @@ def test_cache_holds_one_elimination_per_tau(monkeypatch, stepper):
         monkeypatch.setattr(sv, "_form_system", spy)
         state, _ = stepper(ops, s0, cfg)
         stepper(ops, state, cfg)
-        neg_tau_R, eliminate = ops.cache.pop(("elimination", 0.1))
-        assert ops.cache.pop("M") is solver_M
+        neg_tau_R, eliminate, floor = ops.cache.pop(("elimination", 0.1))
+        assert ops.cache.pop("M") is entry_M
         assert not ops.cache
-        assert isinstance(solver_M, SpectralSolver)
+        inv_M, _ = entry_M
+        assert isinstance(getattr(inv_M, "__self__", None), SpectralSolver)
         assert isinstance(getattr(eliminate, "__self__", None), SpectralSolver)
+        assert len(solves) >= 2 and all(s[4] is floor for s in solves)
         assert np.array_equal(neg_tau_R.values, -0.1 * ops.R.values)
         assert len(used) >= 2 and all(u is neg_tau_R for u in used)
 
@@ -368,7 +414,7 @@ SPECTRAL_GRIDS = [
 def test_spectral_elimination_matches_dense_inverse(Lx, Ly, n):
     ops = assemble_operators(build_grid(Lx, Ly, n), preset(2).grad_p)
     tau = 0.1
-    _, eliminate = _cached_elimination(ops, tau)
+    _, eliminate, _ = _cached_elimination(ops, tau)
     Md, Kd, Rd = ops.M.to_dense(), ops.K.to_dense(), ops.R.to_dense()
     inv = np.linalg.inv(np.block([[-tau * Rd, Md], [Kd, -Md]]))
     cols = np.stack([eliminate(e) for e in np.eye(2 * ops.grid.N)], axis=1)
@@ -395,7 +441,7 @@ def test_circulant_average_preconditions_a_varying_drift(rng):
     # still shrinks the residual by at least 100x.
     spec = preset(5)
     ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 17), spec.grad_p)
-    neg_tau_R, eliminate = _cached_elimination(ops, 0.1)
+    neg_tau_R, eliminate, _ = _cached_elimination(ops, 0.1)
     N = ops.grid.N
 
     def apply(x):
@@ -499,10 +545,10 @@ def test_semilinear_non_finite_iterate_raises(monkeypatch):
     ops, s0 = initial_state(preset(2), 5)
     original = _Work.solve
 
-    def nan_for_u(self, b, apply, precond, matrix):
-        x = original(self, b, apply, precond, matrix)
+    def nan_for_u(self, b, apply, precond, matrix, floor):
+        x = original(self, b, apply, precond, matrix, floor)
         # The U solve, corrected against K's FFT inverse, returns NaN.
-        if precond == ops.cache["K"].apply_inverse:
+        if precond is ops.cache["K"][0]:
             return np.full_like(x, np.nan)
         return x
 
@@ -526,9 +572,9 @@ def test_semilinear_solves_w_then_u_through_work(monkeypatch):
 
     monkeypatch.setattr(sv, "defect_correction", counted)
     state, rep = step_semilinear(ops, s0, SolverConfig(tau=0.1))
-    [(_, _, precond_W, _, W), (b_U, _, precond_U, _, U)] = solves
-    assert precond_W == ops.cache["M"].apply_inverse
-    assert precond_U == ops.cache["K"].apply_inverse
+    [(_, _, precond_W, _, floor_W, W), (b_U, _, precond_U, _, floor_U, U)] = solves
+    assert (precond_W, floor_W) == ops.cache["M"]
+    assert (precond_U, floor_U) == ops.cache["K"]
     assert np.array_equal(W, state.W) and np.array_equal(U, state.U)
     assert np.array_equal(b_U, matvec(ops.M, state.W))
     assert rep.n_factor == 0

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -30,8 +31,11 @@ from hmfem.sparse import (
     SpectralSolver,
     _fft2,
     _ifft2,
+    SOLVE_RTOL,
     circulant_average,
     defect_correction,
+    inf_norm,
+    rounding_floor,
     symbol,
 )
 
@@ -314,6 +318,100 @@ def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
     inv_far = SpectralSolver([[symbol(far)]]).apply_inverse
     with pytest.raises(SingularMatrixError) as exc:
         defect_correction(b, partial(matvec, far), inv_far)
+    assert exc.value.corrections == 1
+
+
+def test_inf_norm_and_rounding_floor(rng):
+    d = random_dense(rng, 9, 30)  # some rows are empty
+    assert inf_norm(csr(d)) == pytest.approx(np.abs(d).sum(axis=1).max(), rel=1e-15)
+    assert inf_norm(csr(np.zeros((3, 3)))) == 0.0
+    x = rng.standard_normal(10)
+    eps = np.finfo(float).eps
+    norm = np.linalg.norm
+    assert rounding_floor(2.0)(x) == pytest.approx(eps * 2.0 * norm(x), rel=1e-15)
+    two_blocks = eps * (2.0 * norm(x[:5]) + 3.0 * norm(x[5:]))
+    assert rounding_floor(2.0, 3.0)(x) == pytest.approx(two_blocks, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [17, 33, 65])
+@pytest.mark.parametrize("tid", [1, 2, 3, 4])
+def test_exact_inverse_residual_lies_below_rounding_floor(rng, tid, n):
+    # A uniform drift makes the FFT inverses of K and of the state-free
+    # matrix [[-tau R, M], [K, -M]] exact, so b - A x of their first x is
+    # the round-off of forming A x: below the rounding floor of the blocks'
+    # norms (0.3-0.5 of it, measured on random right-hand sides).
+    spec = preset(tid)
+    ops = assemble_operators(build_grid(spec.Lx, spec.Ly, n), spec.grad_p)
+    N, M, K, neg_tau_R = ops.grid.N, ops.M, ops.K, -0.1 * ops.R
+    mu, kappa, rho = symbol(M), symbol(K), symbol(neg_tau_R)
+
+    def block(x):
+        U, W = x[:N], x[N:]
+        top = matvec(neg_tau_R, U) + matvec(M, W)
+        return np.concatenate([top, matvec(K, U) - matvec(M, W)])
+
+    cases = [
+        (partial(matvec, K), [[kappa]], rounding_floor(inf_norm(K))),
+        (
+            block,
+            [[rho, mu], [kappa, -mu]],
+            rounding_floor(inf_norm(neg_tau_R) + inf_norm(K), 2.0 * inf_norm(M)),
+        ),
+    ]
+    for apply, symbols, floor in cases:
+        inverse = SpectralSolver(symbols).apply_inverse
+        for _ in range(3):
+            b = rng.standard_normal(len(symbols) * N)
+            x = inverse(b)
+            assert np.linalg.norm(b - apply(x)) <= floor(x)
+
+
+def never_asked(x):
+    raise AssertionError("floor evaluated below the round-off stop")
+
+
+@pytest.mark.parametrize("floor", [None, lambda x: 0.0, lambda x: math.inf, never_asked])
+def test_roundoff_residual_ends_without_correction(rng, floor):
+    # A first residual below 1e-15 ends the solve at once, whatever the
+    # floor would say; the floor is not even evaluated.
+    spec = preset(2)
+    ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 17), spec.grad_p)
+    inverse = SpectralSolver([[symbol(ops.M)]]).apply_inverse
+    b = rng.standard_normal(ops.grid.N)
+    x0 = inverse(b)
+    assert np.linalg.norm(b - matvec(ops.M, x0)) < 1e-15 * np.linalg.norm(b)
+    x, corrections = defect_correction(b, partial(matvec, ops.M), inverse, floor)
+    assert corrections == 0
+    assert np.array_equal(x, x0)
+
+
+def test_infinite_floor_still_meets_the_contract(rng):
+    # The floor ends corrections only once the residual meets SOLVE_RTOL:
+    # an infinite one stops at the first such x, and a zero one changes
+    # nothing against no floor.  Test 5's drift varies in space, so the
+    # first residual against the FFT inverse is far above the contract.
+    spec = preset(5)
+    ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 17), spec.grad_p)
+    b = rng.standard_normal(ops.grid.N)
+    K, R = ops.K, ops.R
+    near = replace(K, values=K.values - 0.1 * R.values)
+    apply, inverse = partial(matvec, near), SpectralSolver([[symbol(near)]]).apply_inverse
+    x, corrections = defect_correction(b, apply, inverse, lambda x: math.inf)
+    res = np.linalg.norm(b - apply(x)) / np.linalg.norm(b)
+    assert corrections >= 2 and res <= SOLVE_RTOL
+    # One correction fewer would miss the contract.
+    previous = inverse(b)
+    for _ in range(corrections - 1):
+        previous = previous + inverse(b - apply(previous))
+    assert np.linalg.norm(b - apply(previous)) > SOLVE_RTOL * np.linalg.norm(b)
+    x_none, k_none = defect_correction(b, apply, inverse)
+    x_zero, k_zero = defect_correction(b, apply, inverse, lambda x: 0.0)
+    assert k_zero == k_none >= corrections and np.array_equal(x_zero, x_none)
+    # A diverging correction is still refused.
+    far = replace(K, values=K.values - 10.0 * R.values)
+    inv_far = SpectralSolver([[symbol(far)]]).apply_inverse
+    with pytest.raises(SingularMatrixError) as exc:
+        defect_correction(b, partial(matvec, far), inv_far, lambda x: math.inf)
     assert exc.value.corrections == 1
 
 
