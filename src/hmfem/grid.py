@@ -5,14 +5,17 @@ The rectangle ``[0, Lx] x [0, Ly]`` is partitioned into ``(n-1)^2`` cells of
 triangles along the diagonal from the lower-left to the upper-right corner.
 Opposite boundary nodes are identified, so the number of degrees of freedom
 is ``N = (n-1)^2`` rather than ``n^2``.  Every lower triangle is a
-translate of one reference triangle and every upper one of another, so the
-grid is built in closed form from that symmetry: the basis gradients and
-areas are the two reference triangles', repeated per cell, and the shared
-sparsity pattern is the periodic 7-point stencil, whose CSR arrays and
-scatter map come from per-row offsets and gathers.  Grids are immutable
-after construction and safe to share between threads, apart from one
-lazily filled cache, the stencil matrix of S(U) (``DofGrid.s_factor``):
-racing first calls may build it twice, with identical results.
+translate of one reference triangle and every upper one of another, so a
+grid holds its node coordinates and its stencil alone: the two reference
+triangles' basis gradients and areas, and the shared sparsity pattern, the
+periodic 7-point stencil, whose CSR arrays and offset labels come in closed
+form from per-row offsets.  Nothing per element is built with the grid; the
+element arrays are filled on first read, for the dense oracle and the
+tests.  Grids are immutable
+after construction and safe to share between threads, apart from the
+lazily filled caches (the element arrays and the stencil matrix of S(U),
+``DofGrid.s_factor``): racing first reads may build one twice, with
+identical results.
 """
 
 from __future__ import annotations
@@ -36,19 +39,21 @@ _TRIANGLES = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
 class DofGrid:
     """Structured periodic triangulation with (n-1)^2 degrees of freedom.
 
-    The element data lives in arrays: ``tri_dofs``, ``tri_coords``,
-    ``tri_grads`` and ``tri_area``, in cell-major order (cy, cx) with two
-    triangles per cell.  Every cell repeats the two reference triangles, so
-    ``tri_grads`` and ``tri_area`` repeat their first two rows.  The grid
-    also carries the fixed sparsity pattern shared by every assembled
-    operator: all of M, A, K, R, S(U) and B(W) live on the periodic 7-point
-    stencil, one row per dof, with its columns sorted and offsets that
-    coincide through the wrap (n = 3) folded into one slot.  Each stencil
-    offset has a label: ``pair_offset`` gives the label of each local pair
-    (triangle, a, b) and ``slot_offset`` that of each slot, so a matrix
-    whose rows all hold the same stencil is ``stencil[slot_offset]``.
-    ``s_factor``, the fixed sparse matrix Q with S(U) = Q U slot by slot,
-    is built by the first ``assemble_S`` on the grid and then cached on it.
+    Every cell repeats the two reference triangles, lower (ll, lr, ur) and
+    upper (ll, ur, ul), whose basis gradients and areas are ``ref_grads``
+    and ``ref_area``.  The grid also carries the fixed sparsity pattern
+    shared by every assembled operator: all of M, A, K, R, S(U) and B(W)
+    live on the periodic 7-point stencil, one row per dof, with its columns
+    sorted and offsets that coincide through the wrap (n = 3) folded into
+    one slot.  Each stencil offset has a label: ``pair_offset`` gives the
+    label of each local pair (triangle, a, b) and ``slot_offset`` that of
+    each slot, so a matrix whose rows all hold the same stencil is
+    ``stencil[slot_offset]``.  ``s_factor``, the fixed sparse matrix Q with
+    S(U) = Q U slot by slot, is built by the first ``assemble_S`` on the
+    grid and then cached on it.  The element arrays ``tri_dofs``,
+    ``tri_coords``, ``tri_grads`` and ``tri_area``, in cell-major order
+    (cy, cx) with two triangles per cell, are built on first read and
+    cached; a run reads none of them.
     """
 
     n: int
@@ -56,15 +61,15 @@ class DofGrid:
     Ly: float
     h: float
     N: int
-    tri_dofs: np.ndarray = field(repr=False)  # (nel, 3) dof indices
-    tri_coords: np.ndarray = field(repr=False)  # (nel, 3, 2) vertices, unwrapped
-    tri_grads: np.ndarray = field(repr=False)  # (nel, 3, 2) basis gradients
-    tri_area: np.ndarray = field(repr=False)  # (nel,) triangle areas
-    # CSR skeleton of the shared operator pattern and the map sending the
-    # 9 per-element contributions to their slot in the value array.
+    # Node coordinates along each axis, (n,) each, 0 to Lx and 0 to Ly.
+    xs: np.ndarray = field(repr=False)
+    ys: np.ndarray = field(repr=False)
+    # Basis gradients (2, 3, 2) and areas (2,) of the two reference triangles.
+    ref_grads: np.ndarray = field(repr=False)
+    ref_area: np.ndarray = field(repr=False)
+    # CSR skeleton of the shared operator pattern.
     csr_indptr: np.ndarray = field(repr=False)
     csr_indices: np.ndarray = field(repr=False)
-    pattern_scatter: np.ndarray = field(repr=False)
     # Stencil offset labels of the local pairs, (2, 9) with a outer, and of
     # the slots, (nnz,).
     pair_offset: np.ndarray = field(repr=False)
@@ -91,8 +96,8 @@ class DofGrid:
         k, N, nnz = int(self.csr_indptr[1]), self.N, self.nnz_pattern
         b = np.repeat(np.arange(3), 2)
         c = np.array([1, 2, 2, 0, 0, 1])  # the two c != b of each b
-        gx, gy = self.tri_grads[:2].transpose(2, 0, 1)  # (2, 3) each
-        weights = (self.tri_area[:2, None] / 3.0) * (gx[:, c] * gy[:, b] - gy[:, c] * gx[:, b])
+        gx, gy = self.ref_grads.transpose(2, 0, 1)  # (2, 3) each
+        weights = (self.ref_area[:, None] / 3.0) * (gx[:, c] * gy[:, b] - gy[:, c] * gx[:, b])
         labels = self.pair_offset.reshape(2, 3, 3)  # (triangle, a, b)
         pairs = k * labels[:, :, b] + labels[:, :, c]  # (slot label, column label) per term
         table = np.bincount(
@@ -115,13 +120,35 @@ class DofGrid:
             np.tile(table[slot_label, col_label], N)[term],
         )
 
-    @property
-    def xs(self):
-        return np.linspace(0.0, self.Lx, self.n)
+    @cached_property
+    def tri_dofs(self) -> np.ndarray:
+        """(nel, 3) dof indices of each triangle's vertices."""
+        i, j = self._vertex_nodes()
+        m = self.n - 1
+        return (j % m) * m + (i % m)
 
-    @property
-    def ys(self):
-        return np.linspace(0.0, self.Ly, self.n)
+    @cached_property
+    def tri_coords(self) -> np.ndarray:
+        """(nel, 3, 2) vertex coordinates, unwrapped: the last cells reach Lx and Ly."""
+        i, j = self._vertex_nodes()
+        return np.stack([self.xs[i], self.ys[j]], axis=-1)
+
+    @cached_property
+    def tri_grads(self) -> np.ndarray:
+        """(nel, 3, 2) basis gradients, the reference triangles' repeated per cell."""
+        return np.tile(self.ref_grads, (self.N, 1, 1))
+
+    @cached_property
+    def tri_area(self) -> np.ndarray:
+        """(nel,) triangle areas, the reference triangles' repeated per cell."""
+        return np.tile(self.ref_area, self.N)
+
+    def _vertex_nodes(self):
+        """Node indices (i, j), each (nel, 3), of the triangles' vertices, cell by cell."""
+        cy, cx = np.divmod(np.arange(self.N), self.n - 1)
+        i = (cx[:, None, None] + _TRIANGLES[None, :, :, 0]).reshape(-1, 3)
+        j = (cy[:, None, None] + _TRIANGLES[None, :, :, 1]).reshape(-1, 3)
+        return i, j
 
 
 def dof_of_node(grid: DofGrid, i: int, j: int) -> int:
@@ -145,32 +172,21 @@ def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
 
     m = n - 1
     h = Lx / m
-    N = m * m
-    xs = np.linspace(0.0, Lx, n)
-    ys = np.linspace(0.0, Ly, n)
-
-    # Cells in cy-major order, the two reference triangles each.
-    cy, cx = np.divmod(np.arange(N), m)
-    i = (cx[:, None, None] + _TRIANGLES[None, :, :, 0]).reshape(-1, 3)
-    j = (cy[:, None, None] + _TRIANGLES[None, :, :, 1]).reshape(-1, 3)
-    tri_dofs = (j % m) * m + (i % m)
-    tri_coords = np.stack([xs[i], ys[j]], axis=-1)
     grads, area = _reference_triangles(h, Ly / m)
-    indptr, indices, scatter, pair_offset, slot_offset = _stencil_pattern(tri_dofs, m)
+    indptr, indices, pair_offset, slot_offset = _stencil_pattern(m)
 
     return DofGrid(
         n=n,
         Lx=float(Lx),
         Ly=float(Ly),
         h=h,
-        N=N,
-        tri_dofs=tri_dofs,
-        tri_coords=tri_coords,
-        tri_grads=np.tile(grads, (N, 1, 1)),
-        tri_area=np.tile(area, N),
+        N=m * m,
+        xs=np.linspace(0.0, Lx, n),
+        ys=np.linspace(0.0, Ly, n),
+        ref_grads=grads,
+        ref_area=area,
         csr_indptr=indptr,
         csr_indices=indices,
-        pattern_scatter=scatter,
         pair_offset=pair_offset,
         slot_offset=slot_offset,
     )
@@ -203,16 +219,14 @@ def _reference_triangles(hx: float, hy: float):
     return grads, np.full(2, 0.5 * hx * hy)
 
 
-def _stencil_pattern(tri_dofs: np.ndarray, m: int):
-    """CSR arrays of the periodic stencil, the scatter map and the offset labels.
+def _stencil_pattern(m: int):
+    """CSR arrays of the periodic stencil and the offset labels.
 
     Local pair (a, b) of a triangle couples its vertices a and b, whose
     offset (b - a) mod m is a stencil offset; offsets that coincide through
     the wrap (m = 2) share a label.  Row (j, i) holds offset (dj, di) in
     column ((j + dj) mod m, (i + di) mod m); sorting each row's columns
-    gives the CSR order.  The slot of element pair (a, b) is then
-    ``indptr[row]`` plus the rank of its label in the row, with row the dof
-    of vertex a: one gather from the (row, label) table of slots.
+    gives the CSR order, and the labels in that order are ``slot_offset``.
     """
     labels = {}  # stencil offset (di, dj) mod m -> label
     pair_offset = np.array(
@@ -230,9 +244,5 @@ def _stencil_pattern(tri_dofs: np.ndarray, m: int):
     cols = (((r + dj) % m * m)[:, None, :] + ((r + di) % m)[None, :, :]).reshape(N, k)
     slot_offset = np.argsort(cols, axis=1)  # label of each slot, row by row
     indices = np.take_along_axis(cols, slot_offset, axis=1).astype(np.int32).reshape(-1)
-    slot = np.empty_like(slot_offset)  # slot of each (row, label)
-    np.put_along_axis(slot, slot_offset, np.arange(N * k).reshape(N, k), axis=1)
-    pairs = k * np.repeat(tri_dofs, 3, axis=1) + np.tile(pair_offset, (N, 1))
     indptr = np.arange(0, N * k + 1, k, dtype=np.int32)
-    scatter = slot.reshape(-1)[pairs].reshape(-1)
-    return indptr, indices, scatter, pair_offset, slot_offset.reshape(-1)
+    return indptr, indices, pair_offset, slot_offset.reshape(-1)

@@ -40,10 +40,11 @@ DEFAULT_CAP = 0.3
 MAX_STEPS = 10**6
 
 #: The most partition points per side of a run's grid.  ``build_grid``,
-#: ``assemble_operators`` and the first ``assemble_S`` peak at about 1.15 KB
-#: per dof (tracemalloc at n = 65, 129 and 257: 1152, 1150 and 1150 B), set
-#: by ``assemble_operators`` on top of the kept grid, so the (MAX_N - 1)^2
-#: dofs bound that near 0.3 GB; the paper's grids have n <= 129.
+#: ``assemble_operators`` and the first ``assemble_S`` peak at about 0.85 KB
+#: per dof (tracemalloc at n = 65, 129 and 257: 874, 820 and 818 B), set
+#: by ``assemble_R``'s temporaries on top of the kept grid, M, A and K, so
+#: the (MAX_N - 1)^2 dofs bound that near 0.23 GB; the paper's grids have
+#: n <= 129.
 MAX_N = 513
 
 

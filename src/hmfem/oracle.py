@@ -7,7 +7,9 @@ domains are covered), integrals use a 7-point degree-5 triangle rule that
 strictly dominates the exactness class of the fast path, matrices are
 accumulated dense, and B(W) is built from its definition as columns
 S(e_j) W.  Of the grid's element arrays only ``tri_coords`` and
-``tri_area`` are read, to place and weight the quadrature points.
+``tri_area`` are read, to place and weight the quadrature points; the
+grid builds them on that first read, since the production assembly works
+from the stencil alone and never does.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from element_reference import scatter_csr
 from hmfem import (
     EvaluationError,
     ShapeError,
@@ -18,7 +19,6 @@ from hmfem import (
     preset,
     sample_nodes,
 )
-from hmfem.assembly import pattern_csr
 from hmfem.oracle import dense_assemble_all
 from hmfem.sparse import circulant_average
 
@@ -32,7 +32,7 @@ def assemble_S_loop(grid, U):
         g = grid.tri_grads[e]
         ux, uy = U[grid.tri_dofs[e]] @ g  # grad of u_N, constant on the element
         vals[e] = third[e] * (ux * g[:, 1] - uy * g[:, 0])
-    return pattern_csr(grid, vals.reshape(-1))
+    return scatter_csr(grid, vals.reshape(-1))
 
 
 def element_geometry(grid):
@@ -50,14 +50,14 @@ def per_element_operators(grid, grad_p):
     element's own geometry: a second route to the assembled operators."""
     g, area = element_geometry(grid)
     local_M = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    M = pattern_csr(grid, np.outer(area, local_M.reshape(-1)).reshape(-1)).values
-    A = pattern_csr(grid, (area[:, None, None] * (g @ g.transpose(0, 2, 1))).reshape(-1)).values
+    M = scatter_csr(grid, np.outer(area, local_M.reshape(-1)).reshape(-1)).values
+    A = scatter_csr(grid, (area[:, None, None] * (g @ g.transpose(0, 2, 1))).reshape(-1)).values
     corners = grid.tri_coords
     mids = 0.5 * (corners + np.roll(corners, -1, axis=1))
     px, py = (np.broadcast_to(v, mids.shape[:2]) for v in grad_p(mids[..., 0], mids[..., 1]))
     phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     vdotg = -py[:, :, None] * g[:, None, :, 0] + px[:, :, None] * g[:, None, :, 1]
-    R = pattern_csr(grid, ((area / 3.0)[:, None, None] * (phi.T @ vdotg)).reshape(-1)).values
+    R = scatter_csr(grid, ((area / 3.0)[:, None, None] * (phi.T @ vdotg)).reshape(-1)).values
     return {"M": M, "A": A, "K": M + A, "R": R}
 
 
@@ -68,7 +68,7 @@ OPERATOR_GRIDS = [pytest.param(n, np.pi, np.pi, id=str(n)) for n in (3, 4, 5, 17
 ]
 
 
-@pytest.mark.parametrize("tid", [2, 5])
+@pytest.mark.parametrize("tid", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n, Lx, Ly", OPERATOR_GRIDS)
 def test_geometry_and_operators_match_per_element_formulas(tid, n, Lx, Ly):
     grad_p = preset(tid).grad_p
@@ -94,6 +94,17 @@ def test_M_A_K_are_exactly_block_circulant(n, Lx, Ly):
         stencil[g.slot_offset[:k]] = A.values[:k]
         assert np.array_equal(A.values, stencil[g.slot_offset])
         assert np.array_equal(circulant_average(A, g.slot_offset).values, A.values)
+
+
+@pytest.mark.parametrize("tid", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [3, 4, 17])
+def test_R_is_exactly_block_circulant_on_a_uniform_drift(tid, n):
+    # Presets 1-4 drift uniformly, so every cell has the same local
+    # matrices and every row sums the same entries in the same order.
+    spec = preset(tid)
+    g = build_grid(spec.Lx, spec.Ly, n)
+    R = assemble_R(g, spec.grad_p)
+    assert np.array_equal(circulant_average(R, g.slot_offset).values, R.values)
 
 
 def test_mass_row_sums_and_total():
@@ -169,6 +180,27 @@ def test_R_matches_high_order_quadrature():
     assert np.abs(R - dense).max() / scale <= 1e-13
 
 
+@pytest.mark.parametrize("n, Lx, Ly", [(3, 1.0, 1.0), (9, 20.0, 20.0), (6, 1.0, 3.0)])
+def test_R_samples_each_edge_midpoint_once(n, Lx, Ly):
+    # One call on the 3N + 2m distinct edge midpoints, the same points as
+    # the elements' own midpoints: edges on x = Lx and y = Ly stay apart
+    # from their periodic images, as a non-periodic drift needs.
+    calls = []
+
+    def grad_p(x, y):
+        calls.append((x.copy(), y.copy()))
+        return preset(5).grad_p(x, y)
+
+    g = build_grid(Lx, Ly, n)
+    assemble_R(g, grad_p)
+    ((x, y),) = calls
+    m = n - 1
+    assert x.shape == y.shape == (3 * g.N + 2 * m,)
+    corners = g.tri_coords
+    mids = (0.5 * (corners + np.roll(corners, -1, axis=1))).reshape(-1, 2)
+    assert np.array_equal(np.unique(np.stack([x, y], axis=1), axis=0), np.unique(mids, axis=0))
+
+
 def test_R_nonfinite_field():
     g = build_grid(1.0, 1.0, 5)
 
@@ -177,7 +209,7 @@ def test_R_nonfinite_field():
 
     with pytest.raises(EvaluationError) as exc:
         assemble_R(g, bad)
-    assert exc.value.location is not None
+    assert exc.value.location[0] > 0.5  # a midpoint where the field is NaN
 
 
 def test_S_zero_and_constant_input():

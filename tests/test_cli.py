@@ -278,6 +278,18 @@ def test_main_end_to_end(tmp_path):
     assert "snapshot_t0.5000.csv" in files
 
 
+def test_main_builds_no_element_arrays(tmp_path, monkeypatch):
+    import hmfem.cli as cli
+
+    results, run_ = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda *a, **kw: results.append(run_(*a, **kw)) or results[-1])
+    argv = ["--test", "5", "--n", "9", "--T", "0.2", "--snapshot-every", "1",
+            "--out", str(tmp_path / "run")]  # fmt: skip
+    assert main(argv) == 0
+    (result,) = results
+    assert not {"tri_dofs", "tri_coords", "tri_grads", "tri_area"} & set(vars(result.grid))
+
+
 def test_small_tau_snapshots_get_distinct_names(tmp_path):
     # Four decimals would name the six states after 0.0000 and 0.0001 only.
     out = tmp_path / "small_tau"

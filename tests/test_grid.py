@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from element_reference import eager_element_arrays, reference_pattern
 from hmfem import (
     InvalidDomainError,
     InvalidPartitionError,
@@ -97,22 +98,6 @@ def test_partition_of_unity():
     assert np.allclose(vals.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
-def reference_pattern(grid):
-    """The element-pair pattern by sorting and deduplicating all 9 nel keys.
-
-    Each local pair (a, b) of each element, a outer, is the key
-    row N + col; the sorted distinct keys are the CSR slots and every
-    pair's position among them is its scatter target.
-    """
-    N = grid.N
-    rows = np.repeat(grid.tri_dofs, 3, axis=1).reshape(-1)
-    cols = np.tile(grid.tri_dofs, (1, 3)).reshape(-1)
-    keys, scatter = np.unique(rows * N + cols, return_inverse=True)
-    counts = np.bincount(keys // N, minlength=N)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    return indptr, (keys % N).astype(np.int32), scatter
-
-
 # n = 3 folds the stencil through the wrap (16 slots, not 28); the 1 x 3
 # domain has unequal spacings.
 PATTERN_GRIDS = [pytest.param(n, 1.0, 1.0, id=str(n)) for n in (3, 4, 5, 6, 17)] + [
@@ -123,10 +108,9 @@ PATTERN_GRIDS = [pytest.param(n, 1.0, 1.0, id=str(n)) for n in (3, 4, 5, 6, 17)]
 @pytest.mark.parametrize("n, Lx, Ly", PATTERN_GRIDS)
 def test_stencil_pattern_matches_reference_build(n, Lx, Ly):
     g = build_grid(Lx, Ly, n)
-    indptr, indices, scatter = reference_pattern(g)
+    indptr, indices, _ = reference_pattern(g)
     assert np.array_equal(g.csr_indptr, indptr) and g.csr_indptr.dtype == np.int32
     assert np.array_equal(g.csr_indices, indices) and g.csr_indices.dtype == np.int32
-    assert np.array_equal(g.pattern_scatter, scatter)
     assert g.nnz_pattern == (16 if n == 3 else 7 * g.N)
 
 
@@ -144,5 +128,27 @@ def test_offset_labels_are_the_periodic_offsets(n, Lx, Ly):
     assert len(np.unique(labels)) == len(np.unique(code))
     assert len(np.unique(labels * g.N + code)) == len(np.unique(code))
     pairs = np.tile(g.pair_offset, (g.N, 1)).reshape(-1)
-    assert np.array_equal(labels[g.pattern_scatter], pairs)
+    assert np.array_equal(labels[reference_pattern(g)[2]], pairs)
+
+
+ELEMENT_ARRAYS = ("tri_dofs", "tri_coords", "tri_grads", "tri_area")
+
+
+@pytest.mark.parametrize(
+    "n, Lx, Ly",
+    [pytest.param(n, 1.0, 1.0, id=str(n)) for n in (3, 4, 5, 17)]
+    + [pytest.param(n, np.pi, np.pi, id=f"{n}-pi") for n in (4, 17)]
+    + [pytest.param(7, 1.0, 3.0, id="7-1x3")],
+)
+def test_element_arrays_are_built_lazily_as_before(n, Lx, Ly):
+    # build_grid forms the stencil alone; each element array is built on
+    # its first read, equal bit for bit to the eager construction, and kept.
+    g = build_grid(Lx, Ly, n)
+    assert not set(ELEMENT_ARRAYS) & set(vars(g))
+    for name, ref in zip(ELEMENT_ARRAYS, eager_element_arrays(Lx, Ly, n)):
+        lazy = getattr(g, name)
+        assert np.array_equal(lazy, ref) and lazy.dtype == ref.dtype, name
+        assert vars(g)[name] is lazy and getattr(g, name) is lazy
+    assert np.array_equal(g.tri_grads[:2], g.ref_grads)
+    assert np.array_equal(g.tri_area[:2], g.ref_area)
 

@@ -90,11 +90,23 @@ def test_grid_size_bound_admits_exactly_max_n():
     assert run(preset(1), cfg, T=0.1, n=3).stop_reason == "reached_T"
 
 
+ELEMENT_ARRAYS = {"tri_dofs", "tri_coords", "tri_grads", "tri_area"}
+
+
+@pytest.mark.parametrize("tid", [2, 5])
+@pytest.mark.parametrize("method", ["newton", "semilinear"])
+def test_run_builds_no_element_arrays(tid, method):
+    # A run works from the grid's stencil alone.
+    res = run(preset(tid), SolverConfig(tau=0.1, method=method), T=0.2, n=9)
+    assert res.stop_reason == "reached_T"
+    assert not ELEMENT_ARRAYS & set(vars(res.grid))
+
+
 def test_setup_memory_peak_per_dof():
     # The peak behind MAX_N: build_grid, assemble_operators and the first
-    # assemble_S traced together peak at 1152 B per dof at n = 65 (1150 at
-    # n = 129 and 257), set by assemble_operators; the S factor's build
-    # peaks at 1115.  The bound leaves 16% for allocator and library
+    # assemble_S traced together peak at 874 B per dof at n = 65 (820 at
+    # n = 129, 818 at 257), set by assemble_R's temporaries; the S factor's
+    # build peaks at 715.  The bound leaves 16% for allocator and library
     # variation.
     spec = preset(2)
     tracemalloc.start()
@@ -105,7 +117,7 @@ def test_setup_memory_peak_per_dof():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / g.N <= 1340
+    assert peak / g.N <= 1016
 
 
 def test_run_times_and_counts():
