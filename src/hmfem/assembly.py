@@ -19,8 +19,8 @@ invariant: each is one 7-point stencil summed from the two reference
 triangles' 3x3 local matrices and copied to every row, so they are block
 circulant bit for bit.  R samples the drift once at every edge midpoint,
 forms each cell's two local matrices with the reference triangles'
-gradients and sums them row by row per stencil label, with one gather into
-slot order; all of it is assembled once per run.
+gradients and sums them row by row per stencil label, which is the slot
+order; all of it is assembled once per run.
 S(U) is linear in U, so its value array is the product of one fixed
 sparse matrix with U, the grid's closed-form stencil of S, which the grid
 builds on the first ``assemble_S`` and keeps (``DofGrid.s_factor``).
@@ -64,7 +64,7 @@ def _stencil_csr(grid: DofGrid, local: np.ndarray) -> CsrMatrix:
     same stencil and the matrix is block circulant bit for bit.
     """
     stencil = np.bincount(grid.pair_offset.reshape(-1), weights=local.reshape(-1))
-    return CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, stencil[grid.slot_offset])
+    return CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, np.tile(stencil, grid.N))
 
 
 def assemble_mass(grid: DofGrid) -> CsrMatrix:
@@ -105,8 +105,7 @@ def assemble_R(grid: DofGrid, grad_p) -> CsrMatrix:
     n_labels = int(grid.csr_indptr[1])
     incidence = (grid.pair_offset.reshape(-1) == np.arange(n_labels)[:, None]).astype(float)
     table = incidence @ shifted.reshape(18, N)  # (label, row)
-    values = table.reshape(-1)[grid.slot_offset * N + np.arange(N).repeat(n_labels)]
-    return CsrMatrix(N, N, grid.csr_indptr, grid.csr_indices, values)
+    return CsrMatrix(N, N, grid.csr_indptr, grid.csr_indices, table.T.reshape(-1))
 
 
 def _cell_samples(grid: DofGrid, grad_p) -> np.ndarray:

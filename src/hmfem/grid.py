@@ -9,13 +9,13 @@ translate of one reference triangle and every upper one of another, so a
 grid holds its node coordinates and its stencil alone: the two reference
 triangles' basis gradients and areas, and the shared sparsity pattern, the
 periodic 7-point stencil, whose CSR arrays and offset labels come in closed
-form from per-row offsets.  Nothing per element is built with the grid; the
-element arrays are filled on first read, for the dense oracle and the
-tests.  Grids are immutable
-after construction and safe to share between threads, apart from the
-lazily filled caches (the element arrays and the stencil matrix of S(U),
-``DofGrid.s_factor``): racing first reads may build one twice, with
-identical results.
+form from per-row offsets.  Every row lists the stencil in label order,
+the layout ``sparse`` states.  Nothing per element is built with the grid;
+the element arrays are filled on first read, for the dense oracle and the
+tests.  Grids are immutable after construction and safe to share between
+threads, apart from the lazily filled caches (the element arrays and the
+stencil matrix of S(U), ``DofGrid.s_factor``): racing first reads may
+build one twice, with identical results.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ class DofGrid:
     upper (ll, ur, ul), whose basis gradients and areas are ``ref_grads``
     and ``ref_area``.  The grid also carries the fixed sparsity pattern
     shared by every assembled operator: all of M, A, K, R, S(U) and B(W)
-    live on the periodic 7-point stencil, one row per dof, with its columns
-    sorted and offsets that coincide through the wrap (n = 3) folded into
-    one slot.  Each stencil offset has a label: ``pair_offset`` gives the
-    label of each local pair (triangle, a, b) and ``slot_offset`` that of
-    each slot, so a matrix whose rows all hold the same stencil is
-    ``stencil[slot_offset]``.  ``s_factor``, the fixed sparse matrix Q with
+    live on the periodic 7-point stencil, one row per dof, with offsets
+    that coincide through the wrap (n = 3) folded into one slot.  Each
+    stencil offset has a label, and slot p of every row holds label p % k
+    of the k labels, so a matrix whose rows all hold the same stencil is
+    that stencil repeated N times.  ``pair_offset`` gives the label of each
+    local pair (triangle, a, b).  ``s_factor``, the fixed sparse matrix Q with
     S(U) = Q U slot by slot, is built by the first ``assemble_S`` on the
     grid and then cached on it.  The element arrays ``tri_dofs``,
     ``tri_coords``, ``tri_grads`` and ``tri_area``, in cell-major order
@@ -70,10 +70,8 @@ class DofGrid:
     # CSR skeleton of the shared operator pattern.
     csr_indptr: np.ndarray = field(repr=False)
     csr_indices: np.ndarray = field(repr=False)
-    # Stencil offset labels of the local pairs, (2, 9) with a outer, and of
-    # the slots, (nnz,).
+    # Stencil offset labels of the local pairs, (2, 9) with a outer.
     pair_offset: np.ndarray = field(repr=False)
-    slot_offset: np.ndarray = field(repr=False)
 
     @property
     def nnz_pattern(self) -> int:
@@ -91,9 +89,11 @@ class DofGrid:
         sums cancel for c = I and on the diagonal; what is left is
         +-area/3 (g x g) = +-1/6 on the edge's two opposite vertices (summed
         where offsets fold through the wrap, n = 3), both columns of row I.
-        Each row of Q lists its terms in column-label order.
+        Each row of Q lists its terms in column-label order, and the rows of
+        one dof's slots follow each other, so Q is one dof's term list
+        repeated N times, its columns read from each row's label slots.
         """
-        k, N, nnz = int(self.csr_indptr[1]), self.N, self.nnz_pattern
+        k, N = int(self.csr_indptr[1]), self.N
         b = np.repeat(np.arange(3), 2)
         c = np.array([1, 2, 2, 0, 0, 1])  # the two c != b of each b
         gx, gy = self.ref_grads.transpose(2, 0, 1)  # (2, 3) each
@@ -106,18 +106,14 @@ class DofGrid:
             minlength=k * k,
         ).reshape(k, k)
         slot_label, col_label = np.nonzero(table)  # one row's terms, label by label
-        count = np.bincount(slot_label, minlength=k).astype(np.int32)
-        by_label = np.empty((N, k), dtype=np.int32)  # row I's column at each label
-        by_label.reshape(-1)[np.arange(0, nnz, k).repeat(k) + self.slot_offset] = self.csr_indices
-        indptr = np.zeros(nnz + 1, dtype=np.int32)
-        np.cumsum(count[self.slot_offset], out=indptr[1:])
-        term = _slot_terms(self.slot_offset, count, indptr)
+        indptr = np.zeros(N * k + 1, dtype=np.int32)
+        np.cumsum(np.tile(np.bincount(slot_label, minlength=k), N), out=indptr[1:])
         return CsrMatrix(
-            nnz,
+            N * k,
             N,
             indptr,
-            by_label[:, col_label].reshape(-1)[term],
-            np.tile(table[slot_label, col_label], N)[term],
+            self.csr_indices.reshape(N, k)[:, col_label].reshape(-1),
+            np.tile(table[slot_label, col_label], N),
         )
 
     @cached_property
@@ -173,7 +169,7 @@ def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
     m = n - 1
     h = Lx / m
     grads, area = _reference_triangles(h, Ly / m)
-    indptr, indices, pair_offset, slot_offset = _stencil_pattern(m)
+    indptr, indices, pair_offset = _stencil_pattern(m)
 
     return DofGrid(
         n=n,
@@ -188,24 +184,7 @@ def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
         csr_indptr=indptr,
         csr_indices=indices,
         pair_offset=pair_offset,
-        slot_offset=slot_offset,
     )
-
-
-def _slot_terms(slot_offset: np.ndarray, count: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Where each entry of Q, in CSR order, sits among the rows' terms listed label by label.
-
-    Row I holds its ``count.sum()`` terms as one block, label by label; the
-    slot p of row I with label l takes the ``count[l]`` terms of l in that
-    block, and its entries start at ``indptr[p]``.
-    """
-    k, width = len(count), int(count.sum())
-    lengths = count[slot_offset]
-    first = np.arange(0, len(slot_offset) // k * width, width, dtype=np.int32).repeat(k)
-    first += (np.cumsum(count) - count)[slot_offset] - indptr[:-1]
-    term = np.repeat(first.astype(np.intp), lengths)
-    term += np.arange(indptr[-1])
-    return term
 
 
 def _reference_triangles(hx: float, hy: float):
@@ -220,13 +199,12 @@ def _reference_triangles(hx: float, hy: float):
 
 
 def _stencil_pattern(m: int):
-    """CSR arrays of the periodic stencil and the offset labels.
+    """CSR arrays of the periodic stencil in label order, and the offset labels.
 
     Local pair (a, b) of a triangle couples its vertices a and b, whose
     offset (b - a) mod m is a stencil offset; offsets that coincide through
-    the wrap (m = 2) share a label.  Row (j, i) holds offset (dj, di) in
-    column ((j + dj) mod m, (i + di) mod m); sorting each row's columns
-    gives the CSR order, and the labels in that order are ``slot_offset``.
+    the wrap (m = 2) share a label.  Row (j, i) holds offset (dj, di), label
+    l, in its slot l, column ((j + dj) mod m, (i + di) mod m).
     """
     labels = {}  # stencil offset (di, dj) mod m -> label
     pair_offset = np.array(
@@ -241,8 +219,6 @@ def _stencil_pattern(m: int):
     di, dj = np.array(list(labels)).T
     k, N = len(labels), m * m
     r = np.arange(m)[:, None]
-    cols = (((r + dj) % m * m)[:, None, :] + ((r + di) % m)[None, :, :]).reshape(N, k)
-    slot_offset = np.argsort(cols, axis=1)  # label of each slot, row by row
-    indices = np.take_along_axis(cols, slot_offset, axis=1).astype(np.int32).reshape(-1)
+    indices = ((r + dj) % m * m)[:, None, :] + ((r + di) % m)[None, :, :]
     indptr = np.arange(0, N * k + 1, k, dtype=np.int32)
-    return indptr, indices, pair_offset, slot_offset.reshape(-1)
+    return indptr, indices.astype(np.int32).reshape(-1), pair_offset

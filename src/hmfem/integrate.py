@@ -25,6 +25,7 @@ from .solvers import (
     StepReport,
     cached_solver,
     m_norm,
+    require_integer,
     step,
     tau_bound_report,
 )
@@ -40,10 +41,10 @@ DEFAULT_CAP = 0.3
 MAX_STEPS = 10**6
 
 #: The most partition points per side of a run's grid.  ``build_grid``,
-#: ``assemble_operators`` and the first ``assemble_S`` peak at about 0.85 KB
-#: per dof (tracemalloc at n = 65, 129 and 257: 874, 820 and 818 B), set
+#: ``assemble_operators`` and the first ``assemble_S`` peak at about 0.7 KB
+#: per dof (tracemalloc at n = 65, 129 and 257: 706, 700 and 698 B), set
 #: by ``assemble_R``'s temporaries on top of the kept grid, M, A and K, so
-#: the (MAX_N - 1)^2 dofs bound that near 0.23 GB; the paper's grids have
+#: the (MAX_N - 1)^2 dofs bound that near 0.19 GB; the paper's grids have
 #: n <= 129.
 MAX_N = 513
 
@@ -139,8 +140,10 @@ def check_run_inputs(
         )
     if not math.isfinite(cap):
         raise ValueError(f"amplitude cap must be finite, got {cap}")
+    require_integer("snapshot_every", snapshot_every)
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    require_integer("grid size n", n)
     if n < 3:
         raise InvalidPartitionError(f"need n >= 3 partition points, got {n}")
     if n > MAX_N:

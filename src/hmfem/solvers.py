@@ -38,6 +38,7 @@ rounding floor of its matrix, so a floor costs no set-up per step.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -58,6 +59,7 @@ from .sparse import (
     m_norm,
     matvec,
     rounding_floor,
+    stencil_norm,
     symbol,
 )
 
@@ -85,10 +87,19 @@ class SolverConfig:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        require_integer("k_max", self.k_max)
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.method not in STEPPERS:
             raise ValueError(f"unknown method {self.method!r}")
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer, numpy's included."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -172,16 +183,8 @@ def cached_solver(ops: FemOperators, name: str):
     if name not in ops.cache:
         A = getattr(ops, name)
         inverse = SpectralSolver([[symbol(A)]]).apply_inverse
-        ops.cache[name] = inverse, rounding_floor(_stencil_norm(A))
+        ops.cache[name] = inverse, rounding_floor(stencil_norm(A))
     return ops.cache[name]
-
-
-def _stencil_norm(A: CsrMatrix) -> float:
-    """||A||_inf of a block-circulant A, such as M and K: row 0's absolute sum.
-
-    Every row holds the same stencil, so one row gives the norm.
-    """
-    return float(np.abs(A.values[: A.row_offsets[1]]).sum())
 
 
 def _cached_elimination(ops: FemOperators, tau: float):
@@ -198,11 +201,11 @@ def _cached_elimination(ops: FemOperators, tau: float):
     key = ("elimination", tau)
     if key not in ops.cache:
         neg_tau_R = -tau * ops.R
-        average = circulant_average(neg_tau_R, ops.grid.slot_offset)
+        average = circulant_average(neg_tau_R)
         rho, mu, kappa = symbol(average), symbol(ops.M), symbol(ops.K)
         eliminate = SpectralSolver([[rho, mu], [kappa, -mu]]).apply_inverse
         floor = rounding_floor(
-            inf_norm(neg_tau_R) + _stencil_norm(ops.K), 2.0 * _stencil_norm(ops.M)
+            inf_norm(neg_tau_R) + stencil_norm(ops.K), 2.0 * stencil_norm(ops.M)
         )
         ops.cache[key] = neg_tau_R, eliminate, floor
     return ops.cache[key]

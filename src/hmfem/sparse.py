@@ -16,9 +16,16 @@ contract and lies at its own rounding floor, eps ||A||_inf ||x|| per block
 column (``rounding_floor``), below which a correction only stirs
 round-off.  ``SpectralSolver`` inverts a 1x1 or 2x2 block of
 block-circulant matrices mode by mode from the blocks' symbols (their 2-D
-FFT).  ``circulant_average`` maps a matrix on a periodic stencil,
-given each slot's offset class, to its nearest block-circulant one, so a
-matrix that is not circulant still gets a symbol to precondition with.
+FFT).  ``circulant_average`` maps a matrix on the grid's periodic stencil
+to its nearest block-circulant one, so a matrix that is not circulant
+still gets a symbol to precondition with.
+
+The stencil layout: each of the N rows holds k slots, and slot p of every
+row holds the same periodic offset, stencil label p % k, whatever its
+column.  A block-circulant matrix's values are therefore one row's k values
+repeated N times, and ``values.reshape(N, k)`` lines the rows' entries of
+one offset up in a column.  ``circulant_average`` and ``stencil_norm`` rely
+on it; every other routine takes any column order.
 """
 
 from __future__ import annotations
@@ -273,22 +280,27 @@ class SpectralSolver:
         return _ifft2(self._cols[0] * r1 + self._cols[1] * r2, m).reshape(-1)
 
 
-def circulant_average(A: CsrMatrix, offset: np.ndarray) -> CsrMatrix:
+def circulant_average(A: CsrMatrix) -> CsrMatrix:
     """T. F. Chan's optimal circulant of A (SIAM J. Sci. Stat. Comput. 9, 1988).
 
-    ``offset`` labels each slot of A's pattern with its periodic offset
-    class, as ``DofGrid.slot_offset`` does.  Each slot gets the mean over
-    all N rows of A's entries in its class: the block-circulant matrix
-    nearest A in the Frobenius norm, if every row holds each class once,
-    as the grid's stencil does.  The mean is taken of each entry's
-    difference to its class's value in row 0, which is added back, so a
+    A lies on the stencil layout.  Each slot gets the mean over all N rows
+    of A's entries at its offset: the block-circulant matrix nearest A in
+    the Frobenius norm.  The mean is taken of each entry's difference to
+    row 0's entry at the same offset, which is added back, so a
     block-circulant A comes back bit for bit.
     """
-    k = A.row_offsets[1]  # row 0 holds each class once
-    row0 = np.empty(k)
-    row0[offset[:k]] = A.values[:k]
-    spread = np.bincount(offset, weights=A.values - row0[offset], minlength=k) / A.nrows
-    return CsrMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, (row0 + spread)[offset])
+    values = A.values.reshape(A.nrows, -1)
+    row0 = values[0]
+    average = row0 + (values - row0).mean(axis=0)
+    return CsrMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, np.tile(average, A.nrows))
+
+
+def stencil_norm(A: CsrMatrix) -> float:
+    """||A||_inf of a block-circulant A on the stencil layout, such as M and K.
+
+    Every row holds the same stencil, so row 0's absolute sum is the norm.
+    """
+    return float(np.abs(A.values[: A.row_offsets[1]]).sum())
 
 
 def symbol(A: CsrMatrix) -> np.ndarray:

@@ -15,8 +15,10 @@ def reference_pattern(grid):
     """The element-pair pattern by sorting and deduplicating all 9 nel keys.
 
     Each local pair (a, b) of each element, a outer, is the key
-    row N + col; the sorted distinct keys are the CSR slots and every
-    pair's position among them is its scatter target.
+    row N + col; the sorted distinct keys are the CSR slots, each row's
+    columns sorted.  Returns that CSR skeleton and every pair's scatter
+    target, mapped by (row, column) into the slots of the grid's pattern,
+    which lists each row in stencil-label order.
     """
     N = grid.N
     rows = np.repeat(grid.tri_dofs, 3, axis=1).reshape(-1)
@@ -24,7 +26,12 @@ def reference_pattern(grid):
     keys, scatter = np.unique(rows * N + cols, return_inverse=True)
     counts = np.bincount(keys // N, minlength=N)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    return indptr, (keys % N).astype(np.int32), scatter
+    grid_rows = np.repeat(np.arange(N), np.diff(grid.csr_indptr))
+    grid_keys = grid_rows * N + grid.csr_indices
+    order = np.argsort(grid_keys)
+    slot = order[np.searchsorted(grid_keys, keys, sorter=order)]
+    assert np.array_equal(grid_keys[slot], keys), "the grid's pattern lacks a pair"
+    return indptr, (keys % N).astype(np.int32), slot[scatter]
 
 
 def scatter_csr(grid, contributions):

@@ -110,21 +110,24 @@ def test_stencil_pattern_matches_reference_build(n, Lx, Ly):
     g = build_grid(Lx, Ly, n)
     indptr, indices, _ = reference_pattern(g)
     assert np.array_equal(g.csr_indptr, indptr) and g.csr_indptr.dtype == np.int32
-    assert np.array_equal(g.csr_indices, indices) and g.csr_indices.dtype == np.int32
+    # Each row lists its columns in stencil-label order, the reference sorted.
+    rows = np.sort(g.csr_indices.reshape(g.N, -1), axis=1)
+    assert np.array_equal(rows.reshape(-1), indices) and g.csr_indices.dtype == np.int32
     assert g.nnz_pattern == (16 if n == 3 else 7 * g.N)
 
 
 @pytest.mark.parametrize("n, Lx, Ly", PATTERN_GRIDS)
 def test_offset_labels_are_the_periodic_offsets(n, Lx, Ly):
-    # A label names one periodic offset ((j' - j) mod m, (i' - i) mod m):
-    # slots with equal labels have equal offsets and vice versa, and each
-    # local pair carries the label of the slot it scatters into.
+    # Slot p of every row holds label p % k, and a label names one periodic
+    # offset ((j' - j) mod m, (i' - i) mod m): slots with equal labels have
+    # equal offsets and vice versa, and each local pair carries the label of
+    # the slot it scatters into.
     g = build_grid(Lx, Ly, n)
-    m = n - 1
+    m, k = n - 1, g.csr_indptr[1]
     rows = np.repeat(np.arange(g.N), np.diff(g.csr_indptr))
     (rj, ri), (cj, ci) = np.divmod(rows, m), np.divmod(g.csr_indices, m)
     code = (cj - rj) % m * m + (ci - ri) % m
-    labels = g.slot_offset
+    labels = np.tile(np.arange(k), g.N)
     assert len(np.unique(labels)) == len(np.unique(code))
     assert len(np.unique(labels * g.N + code)) == len(np.unique(code))
     pairs = np.tile(g.pair_offset, (g.N, 1)).reshape(-1)

@@ -50,19 +50,28 @@ def test_run_T_zero():
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, match",
     [
-        {"T": float("inf")},
-        {"T": float("nan")},
-        {"T": 1.0, "cap": float("nan")},
-        {"T": 1.0, "cap": float("inf")},
-        {"T": 1e308},  # finite, but T/tau overflows at tau = 0.1
-        {"T": 1e300},  # 1e301 steps: finite, but above MAX_STEPS
+        ({"T": float("inf")}, "finite"),
+        ({"T": float("nan")}, "finite"),
+        ({"T": 1.0, "cap": float("nan")}, "finite"),
+        ({"T": 1.0, "cap": float("inf")}, "finite"),
+        ({"T": 1e308}, "finite"),  # finite, but T/tau overflows at tau = 0.1
+        ({"T": 1e300}, "finite"),  # 1e301 steps: finite, but above MAX_STEPS
+        # Counts must be integers, numpy's too (next test).
+        ({"T": 1.0, "n": 17.0}, "n must be an integer"),
+        ({"T": 1.0, "snapshot_every": 2.5}, "snapshot_every must be an integer"),
     ],
 )
-def test_run_rejects_non_finite(kwargs):
-    with pytest.raises(ValueError, match="finite"):
-        run(preset(1), SolverConfig(tau=0.1), n=5, **kwargs)
+def test_run_rejects_invalid_inputs(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        run(preset(1), SolverConfig(tau=0.1), **{"n": 5, **kwargs})
+
+
+def test_run_accepts_numpy_integers():
+    cfg = SolverConfig(tau=0.1, k_max=np.int64(20))
+    res = run(preset(1), cfg, T=0.1, snapshot_every=np.int64(1), n=np.int32(5))
+    assert res.stop_reason == "reached_T"
 
 
 def test_step_bound_admits_exactly_max_steps():
@@ -104,20 +113,23 @@ def test_run_builds_no_element_arrays(tid, method):
 
 def test_setup_memory_peak_per_dof():
     # The peak behind MAX_N: build_grid, assemble_operators and the first
-    # assemble_S traced together peak at 874 B per dof at n = 65 (820 at
-    # n = 129, 818 at 257), set by assemble_R's temporaries; the S factor's
-    # build peaks at 715.  The bound leaves 16% for allocator and library
-    # variation.
+    # assemble_S traced together peak at 706 B per dof at n = 65 (700 at
+    # n = 129, 698 at 257), set by assemble_R's temporaries; the S factor's
+    # build peaks at 495.  The bound leaves 16% for allocator and library
+    # variation.  build_grid keeps its CSR arrays and little else, 33 B per
+    # dof, so an int64 array per slot (56 B per dof) would break its bound.
     spec = preset(2)
     tracemalloc.start()
     try:
         g = build_grid(spec.Lx, spec.Ly, 65)
+        kept = tracemalloc.get_traced_memory()[0]
         assemble_operators(g, spec.grad_p)
         assemble_S(g, np.ones(g.N))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / g.N <= 1016
+    assert kept / g.N <= 48
+    assert peak / g.N <= 819
 
 
 def test_run_times_and_counts():

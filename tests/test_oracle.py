@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from hmfem import (
     init_w0,
     jacobian,
     preset,
+    run,
     sample_nodes,
     step_newton,
 )
 from hmfem.oracle import (
+    DENSE_N_MAX,
     basis_values,
     dense_assemble_all,
     dense_B,
@@ -151,3 +155,50 @@ def test_dense_B_matches_fast_B(rng):
     Bf = assemble_B(g, W).to_dense()
     scale = max(np.abs(Bd).max(), 1e-300)
     assert np.abs(Bd - Bf).max() / scale <= 1e-12
+
+
+@lru_cache(maxsize=None)
+def dense_operators(tid, n):
+    """The oracle's M, K and R of a preset, and its interpolated U0."""
+    spec = preset(tid)
+    g = build_grid(spec.Lx, spec.Ly, n)
+    dense = dense_assemble_all(g, spec, np.zeros(g.N))
+    return dense.M, dense.M + dense.A, dense.R, sample_nodes(spec, g)
+
+
+def dense_linear_run(tid, n, tau, steps, implicit):
+    """States 0..steps of a method's recursion with S(U) W dropped, all dense.
+
+    From U0 and W0 = M^-1 K U0 each step solves
+    [[-tau R_new, M], [K, -M]] (U, W) = (M W_n + tau R_old U_n, 0): R acts
+    on the new U in the implicit methods and on the old one in semilinear.
+    """
+    M, K, R, U = dense_operators(tid, n)
+    zero = np.zeros_like(R)
+    R_new, R_old = (R, zero) if implicit else (zero, R)
+    system = np.block([[-tau * R_new, M], [K, -M]])
+    W = np.linalg.solve(M, K @ U)
+    states = [(U, W)]
+    for _ in range(steps):
+        rhs = np.concatenate([M @ W + tau * (R_old @ U), np.zeros(len(U))])
+        x = np.linalg.solve(system, rhs)
+        U, W = np.split(x, 2)
+        states.append((U, W))
+    return states
+
+
+@pytest.mark.parametrize("method", ["newton", "chord", "modified", "semilinear"])
+@pytest.mark.parametrize("tid", [1, 2])
+def test_y_only_data_follow_the_linear_recursion(tid, method):
+    # Tests 1 and 2 start from data in y alone and drift with grad p =
+    # (p_x, 0): u_N and w_N stay functions of y, V(u_N) . grad w_N =
+    # -u_y w_x vanishes, and S(U) W = 0, so every method must reproduce
+    # its linear recursion.  n is the dense oracle's largest grid.
+    n, tau, steps = DENSE_N_MAX, 0.1, 10
+    ref = dense_linear_run(tid, n, tau, steps, implicit=method != "semilinear")
+    cfg = SolverConfig(tau=tau, method=method)
+    res = run(preset(tid), cfg, T=steps * tau, snapshot_every=1, n=n)
+    assert res.stop_reason == "reached_T" and len(res.states) == steps + 1
+    for state, (U, W) in zip(res.states, ref):
+        assert np.linalg.norm(state.U - U) <= 1e-12 * np.linalg.norm(U)
+        assert np.linalg.norm(state.W - W) <= 1e-12 * np.linalg.norm(W)

@@ -58,16 +58,17 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, match",
     [
-        {"tau": float("nan")},
-        {"tau": float("inf")},
-        {"tau": 0.1, "tol": float("nan")},
-        {"tau": 0.1, "tol": float("inf")},
+        ({"tau": float("nan")}, "finite"),
+        ({"tau": float("inf")}, "finite"),
+        ({"tau": 0.1, "tol": float("nan")}, "finite"),
+        ({"tau": 0.1, "tol": float("inf")}, "finite"),
+        ({"tau": 0.1, "k_max": 2.5}, "k_max must be an integer"),
     ],
 )
-def test_config_rejects_non_finite(kwargs):
-    with pytest.raises(ValueError, match="finite"):
+def test_config_rejects_invalid(kwargs, match):
+    with pytest.raises(ValueError, match=match):
         SolverConfig(**kwargs)
 
 
@@ -429,7 +430,7 @@ def test_circulant_average_keeps_a_uniform_drift_symbol(tid, Lx, Ly, n):
     # where the offsets fold through the wrap (n = 3).
     ops = assemble_operators(build_grid(Lx, Ly, n), preset(tid).grad_p)
     neg_tau_R = -0.1 * ops.R
-    averaged = circulant_average(neg_tau_R, ops.grid.slot_offset)
+    averaged = circulant_average(neg_tau_R)
     assert averaged.row_offsets is neg_tau_R.row_offsets
     assert averaged.col_indices is neg_tau_R.col_indices
     assert np.array_equal(averaged.values, neg_tau_R.values)

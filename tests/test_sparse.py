@@ -296,7 +296,7 @@ def test_circulant_average_is_chans_circulant(rng, n):
     for dj in range(m):
         for di in range(m):
             C[np.arange(N), shifted(dj, di)] = Ad[np.arange(N), shifted(dj, di)].mean()
-    assert np.allclose(circulant_average(A, grid.slot_offset).to_dense(), C, rtol=0, atol=1e-15)
+    assert np.allclose(circulant_average(A).to_dense(), C, rtol=0, atol=1e-15)
 
 
 def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
