@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
+import threading
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +142,84 @@ def emit_convergence_log(result: RunResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _writer_count(n_snapshots: int) -> int:
+    """How many processes write the snapshots: 2 when a second CPU can take half.
+
+    Formatting u and w with ``%.17g`` is most of the CLI's time after the run,
+    and it is pure Python, so a second writer must be a second process.  The
+    parent forks it only when this process may run on more than one CPU, has
+    at least two snapshots to share, and runs no other thread, because a fork
+    copies only the calling thread and can leave a lock held in the child.
+    """
+    if (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and n_snapshots >= 2
+        and threading.active_count() == 1
+    ):
+        return 2
+    return 1
+
+
+def _report_write_error(exc: OSError) -> None:
+    print(f"hmfem: cannot write output: {exc}", file=sys.stderr, flush=True)
+
+
+def _emit_outputs(result: RunResult, out: Path, tau: float) -> bool:
+    """Write every snapshot and convergence.csv under out.
+
+    With two writers (``_writer_count``) a forked child writes the second half
+    of the snapshots while this process writes the first half and the log, and
+    reaps the child before it returns or raises.  Returns False when the child
+    failed; it has reported why on stderr.  An OSError of this process's own
+    writes propagates.
+    """
+    jobs = [
+        (state, out / snapshot_name(t, tau))
+        for t, state in zip(result.state_times, result.states)
+    ]
+    child = 0
+    if _writer_count(len(jobs)) == 2:
+        half = len(jobs) // 2
+        # Empty the buffers the child inherits, so nothing is written twice.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        child = os.fork()
+        if child == 0:
+            # The child must never return into the caller's stack (its atexit
+            # handlers, a test runner's teardown, the parent's buffered stdout),
+            # so every way out of here is os._exit.
+            status = 1
+            try:
+                for state, path in jobs[half:]:
+                    emit_snapshot(state, result.grid, path)
+                status = 0
+            except OSError as exc:
+                _report_write_error(exc)
+            except BaseException:  # os._exit below ends the process anyway
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+        jobs = jobs[:half]
+    try:
+        for state, path in jobs:
+            emit_snapshot(state, result.grid, path)
+        emit_convergence_log(result, out / "convergence.csv")
+    finally:
+        if child:
+            _, wait_status = os.waitpid(child, 0)
+    return not child or os.waitstatus_to_exitcode(wait_status) == 0
+
+
 def main(argv=None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        build_parser().error(f"--out: cannot create the output directory: {exc}")
 
     problem = preset(cfg.test)
     solver_cfg = SolverConfig(cfg.tau, cfg.tol, cfg.k_max, cfg.method)
@@ -155,9 +232,13 @@ def main(argv=None) -> int:
         cap=cfg.cap,
     )
 
-    for t, state in zip(result.state_times, result.states):
-        emit_snapshot(state, result.grid, out / snapshot_name(t, cfg.tau))
-    emit_convergence_log(result, out / "convergence.csv")
+    try:
+        written = _emit_outputs(result, out, cfg.tau)
+    except OSError as exc:
+        _report_write_error(exc)
+        return FAILURE_EXIT
+    if not written:
+        return FAILURE_EXIT
 
     print(
         f"{problem.name} method={cfg.method} n={cfg.n} tau={cfg.tau}: "

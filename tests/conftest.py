@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,15 @@ def grid5():
 def ops9():
     spec = preset(2)
     return assemble_operators(build_grid(spec.Lx, spec.Ly, 9), spec.grad_p)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "a running child" if pid == 0 else f"the unreaped child {pid}"
+    pytest.fail(f"the test left {state}")

@@ -1,10 +1,13 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmfem.cli as cli
 from hmfem import SolverConfig, State, build_grid, dof_of_node, preset, run
 from hmfem.cli import emit_convergence_log, emit_snapshot, main, parse_args
 from hmfem.integrate import MAX_N, MAX_STEPS
@@ -207,8 +210,10 @@ def test_snapshot_layout_cache_keyed_by_grid(tmp_path):
 
 
 def test_main_snapshots_each_state_on_the_run_grid(tmp_path, monkeypatch):
-    import hmfem.cli as cli
     import hmfem.integrate as integrate
+
+    # One writer: a forked child's emit_snapshot calls would not reach the spy.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     calls = {"emit_snapshot": [], "build_grid": 0, "run": []}
     emit, build, run_ = cli.emit_snapshot, integrate.build_grid, cli.run
@@ -242,6 +247,97 @@ def test_main_snapshots_each_state_on_the_run_grid(tmp_path, monkeypatch):
         assert state is result.states[i] and grid is result.grid
         emit_snapshot_loop(state, grid, tmp_path / "ref.csv")
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cpus, n_snapshots, threads, has_fork, expected",
+    [
+        ({0}, 5, 0, True, 1),  # one CPU
+        ({0, 1}, 1, 0, True, 1),  # nothing to share
+        ({0, 1}, 2, 0, True, 2),
+        ({0, 1}, 2, 1, True, 1),  # another thread runs
+        ({0, 1}, 2, 0, False, 1),  # no fork on this platform
+    ],
+)
+def test_writer_count_derivation(monkeypatch, cpus, n_snapshots, threads, has_fork, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    if not has_fork:
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    workers = [threading.Thread(target=stop.wait) for _ in range(threads)]
+    for w in workers:
+        w.start()
+    try:
+        assert cli._writer_count(n_snapshots) == expected
+    finally:
+        stop.set()
+        for w in workers:
+            w.join(timeout=5)
+            assert not w.is_alive()
+
+
+#: Five states (t = 0 and four steps): the halves are 2 and 3 snapshots.
+ODD_RUN = ["--test", "2", "--n", "5", "--T", "0.4", "--snapshot-every", "1"]
+
+
+def _main_with_cpus(monkeypatch, cpus, argv):
+    """main(argv) with the CPU affinity the CLI reads; returns (status, forks)."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return main(argv), len(forks)
+
+
+def test_two_writers_write_the_same_bytes(tmp_path, monkeypatch):
+    results, run_ = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda *a, **kw: results.append(run_(*a, **kw)) or results[-1])
+    outs = {}
+    for cpus, writers in (({0}, 1), ({0, 1}, 2)):
+        out = tmp_path / f"w{writers}"
+        assert _main_with_cpus(monkeypatch, cpus, ODD_RUN + ["--out", str(out)]) == (0, writers - 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        outs[writers] = sorted(out.glob("snapshot_t*.csv"))
+    assert [p.name for p in outs[1]] == [p.name for p in outs[2]]
+    assert len(outs[2]) == 5
+    result = results[-1]
+    for one, two, state in zip(outs[1], outs[2], result.states):
+        assert one.read_bytes() == two.read_bytes()
+        emit_snapshot_loop(state, result.grid, tmp_path / "ref.csv")
+        assert two.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_out_that_cannot_be_created_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "run", lambda *a, **kw: pytest.fail("the run started"))
+    with pytest.raises(SystemExit) as exc:
+        main(ODD_RUN + ["--out", str(tmp_path / "file" / "out")])
+    assert exc.value.code == 2
+    assert "cannot create the output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+@pytest.mark.parametrize("blocked", ["snapshot_t0.0000.csv", "snapshot_t0.4000.csv"])
+def test_write_error_exits_3_without_traceback(tmp_path, monkeypatch, capfd, cpus, blocked):
+    # With two writers the first snapshot is the parent's and the last the child's.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    status, forks = _main_with_cpus(monkeypatch, cpus, ODD_RUN + ["--out", str(out)])
+    assert (status, forks) == (3, len(cpus) - 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    captured = capfd.readouterr()
+    assert captured.err.count("hmfem: cannot write output: ") == 1
+    assert blocked in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    names = [f"snapshot_t0.{k}000.csv" for k in range(5)]
+    if len(cpus) == 1:  # one writer stops at the error
+        expected = names[: names.index(blocked)]
+    elif blocked == names[0]:  # the child still wrote its half
+        expected = names[2:]
+    else:  # the parent wrote its half and the log, the child up to the error
+        expected = names[:4] + ["convergence.csv"]
+    assert {p.name for p in out.iterdir() if p.is_file()} == set(expected)
 
 
 def test_convergence_log_contents(tmp_path):
