@@ -171,21 +171,25 @@ def _emit_outputs(result: RunResult, out: Path, tau: float) -> bool:
 
     With two writers (``_writer_count``) a forked child writes the second half
     of the snapshots while this process writes the first half and the log, and
-    reaps the child before it returns or raises.  Returns False when the child
-    failed; it has reported why on stderr.  An OSError of this process's own
-    writes propagates.
+    reaps the child before it returns or raises; when the fork fails (EAGAIN
+    or ENOMEM under a process or memory limit) this process writes them all.
+    Returns False when the child failed; it has reported why on stderr.  An
+    OSError of this process's own writes propagates.
     """
     jobs = [
         (state, out / snapshot_name(t, tau))
         for t, state in zip(result.state_times, result.states)
     ]
-    child = 0
+    child = None
     if _writer_count(len(jobs)) == 2:
         half = len(jobs) // 2
         # Empty the buffers the child inherits, so nothing is written twice.
         sys.stdout.flush()
         sys.stderr.flush()
-        child = os.fork()
+        try:
+            child = os.fork()
+        except OSError:  # no second process to be had: this one writes them all
+            pass
         if child == 0:
             # The child must never return into the caller's stack (its atexit
             # handlers, a test runner's teardown, the parent's buffered stdout),
@@ -202,7 +206,8 @@ def _emit_outputs(result: RunResult, out: Path, tau: float) -> bool:
                 sys.stderr.flush()
             finally:
                 os._exit(status)
-        jobs = jobs[:half]
+        if child:
+            jobs = jobs[:half]
     try:
         for state, path in jobs:
             emit_snapshot(state, result.grid, path)

@@ -10,12 +10,10 @@ grid holds its node coordinates and its stencil alone: the two reference
 triangles' basis gradients and areas, and the shared sparsity pattern, the
 periodic 7-point stencil, whose CSR arrays and offset labels come in closed
 form from per-row offsets.  Every row lists the stencil in label order,
-the layout ``sparse`` states.  Nothing per element is built with the grid;
-the element arrays are filled on first read, for the dense oracle and the
-tests.  Grids are immutable after construction and safe to share between
-threads, apart from the lazily filled caches (the element arrays and the
-stencil matrix of S(U), ``DofGrid.s_factor``): racing first reads may
-build one twice, with identical results.
+the layout ``sparse`` states.  Nothing per element is built, then or later.
+Grids are immutable after construction and safe to share between threads,
+apart from the lazily filled stencil matrix of S(U), ``DofGrid.s_factor``:
+racing first reads may build it twice, with identical results.
 """
 
 from __future__ import annotations
@@ -50,10 +48,7 @@ class DofGrid:
     that stencil repeated N times.  ``pair_offset`` gives the label of each
     local pair (triangle, a, b).  ``s_factor``, the fixed sparse matrix Q with
     S(U) = Q U slot by slot, is built by the first ``assemble_S`` on the
-    grid and then cached on it.  The element arrays ``tri_dofs``,
-    ``tri_coords``, ``tri_grads`` and ``tri_area``, in cell-major order
-    (cy, cx) with two triangles per cell, are built on first read and
-    cached; a run reads none of them.
+    grid and then cached on it.
     """
 
     n: int
@@ -115,36 +110,6 @@ class DofGrid:
             self.csr_indices.reshape(N, k)[:, col_label].reshape(-1),
             np.tile(table[slot_label, col_label], N),
         )
-
-    @cached_property
-    def tri_dofs(self) -> np.ndarray:
-        """(nel, 3) dof indices of each triangle's vertices."""
-        i, j = self._vertex_nodes()
-        m = self.n - 1
-        return (j % m) * m + (i % m)
-
-    @cached_property
-    def tri_coords(self) -> np.ndarray:
-        """(nel, 3, 2) vertex coordinates, unwrapped: the last cells reach Lx and Ly."""
-        i, j = self._vertex_nodes()
-        return np.stack([self.xs[i], self.ys[j]], axis=-1)
-
-    @cached_property
-    def tri_grads(self) -> np.ndarray:
-        """(nel, 3, 2) basis gradients, the reference triangles' repeated per cell."""
-        return np.tile(self.ref_grads, (self.N, 1, 1))
-
-    @cached_property
-    def tri_area(self) -> np.ndarray:
-        """(nel,) triangle areas, the reference triangles' repeated per cell."""
-        return np.tile(self.ref_area, self.N)
-
-    def _vertex_nodes(self):
-        """Node indices (i, j), each (nel, 3), of the triangles' vertices, cell by cell."""
-        cy, cx = np.divmod(np.arange(self.N), self.n - 1)
-        i = (cx[:, None, None] + _TRIANGLES[None, :, :, 0]).reshape(-1, 3)
-        j = (cy[:, None, None] + _TRIANGLES[None, :, :, 1]).reshape(-1, 3)
-        return i, j
 
 
 def dof_of_node(grid: DofGrid, i: int, j: int) -> int:

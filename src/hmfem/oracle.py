@@ -5,11 +5,10 @@ periodic basis functions are evaluated globally from the closed-form hat
 formula, in mesh units of each axis (Lx/(n-1) and Ly/(n-1), so rectangular
 domains are covered), integrals use a 7-point degree-5 triangle rule that
 strictly dominates the exactness class of the fast path, matrices are
-accumulated dense, and B(W) is built from its definition as columns
-S(e_j) W.  Of the grid's element arrays only ``tri_coords`` and
-``tri_area`` are read, to place and weight the quadrature points; the
-grid builds them on that first read, since the production assembly works
-from the stencil alone and never does.
+dense products over all quadrature points at once, and B(W) is built from
+its definition as columns S(e_j) W.  The quadrature is placed on the
+lattice alone: of the grid only ``n``, ``Lx``, ``Ly``, ``xs``, ``ys`` and
+``N`` are read, never its reference triangles or stencil.
 """
 
 from __future__ import annotations
@@ -24,8 +23,9 @@ from .grid import DofGrid
 from .problems import ProblemSpec
 from .solvers import SolverConfig, State, rel_err, residual
 
-#: Largest grid the dense oracle accepts (cost grows as N^2 * elements).
-DENSE_N_MAX = 9
+#: Largest grid the dense oracle accepts: its time grows as N^2 * elements
+#: and its memory as N * elements, about 110 MB at n = 17.
+DENSE_N_MAX = 17
 
 # 7-point rule on the reference triangle, exact for degree 5.
 _QW = np.array(
@@ -76,17 +76,21 @@ def _spacings(grid: DofGrid) -> np.ndarray:
     return np.array([grid.Lx, grid.Ly]) / (grid.n - 1)
 
 
-def _mesh_displacement(grid: DofGrid, x: float, y: float):
-    """Wrapped displacement (s, t) of (x, y) from every node, in mesh units."""
+def _mesh_displacement(grid: DofGrid, x, y):
+    """Wrapped displacement (s, t) of each point (x, y) from every node, in
+    mesh units: shape (N,) for one point, (..., N) for arrays of points."""
     xc, yc = _node_coords(grid)
     hx, hy = _spacings(grid)
+    x = np.asarray(x, dtype=float)[..., None]
+    y = np.asarray(y, dtype=float)[..., None]
     s = ((x - xc + grid.Lx / 2) % grid.Lx - grid.Lx / 2) / hx
     t = ((y - yc + grid.Ly / 2) % grid.Ly - grid.Ly / 2) / hy
     return s, t
 
 
-def basis_values(grid: DofGrid, x: float, y: float) -> np.ndarray:
-    """All N periodic P1 basis functions evaluated at one point.
+def basis_values(grid: DofGrid, x, y) -> np.ndarray:
+    """All N periodic P1 basis functions at a point, (N,), or at arrays of
+    points, (..., N).
 
     The hat centered at a node, in mesh units of the wrapped displacement
     (s, t), is max(0, 1 - max(|s|, |t|, |s - t|)) for the lower-left to
@@ -98,8 +102,9 @@ def basis_values(grid: DofGrid, x: float, y: float) -> np.ndarray:
     )
 
 
-def basis_gradients(grid: DofGrid, x: float, y: float) -> np.ndarray:
-    """(N, 2) gradients of the periodic basis functions at one point.
+def basis_gradients(grid: DofGrid, x, y) -> np.ndarray:
+    """Gradients of the periodic basis functions at a point, (N, 2), or at
+    arrays of points, (..., N, 2).
 
     Points must avoid the measure-zero sector boundaries of the hats; the
     quadrature points used here always do.
@@ -113,11 +118,30 @@ def basis_gradients(grid: DofGrid, x: float, y: float) -> np.ndarray:
     return g
 
 
-def _quad_points(grid: DofGrid):
-    for coords, area in zip(grid.tri_coords, grid.tri_area):
-        pts = _QBARY @ coords
-        for (x, y), w in zip(pts, _QW * area):
-            yield x, y, w
+def _quadrature(grid: DofGrid):
+    """Points x, y and weights, (P,) each, of the 7-point rule on every triangle.
+
+    Each cell of the lattice ``xs`` x ``ys`` splits along its diagonal from
+    the lower-left to the upper-right corner, where the hats have their kinks,
+    into (ll, lr, ur) and (ll, ur, ul).  The weights sum to Lx * Ly.
+    """
+    m = grid.n - 1
+    hx, hy = _spacings(grid)
+    corners = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+    cy, cx = np.divmod(np.arange(m * m), m)
+    i = cx[:, None, None] + corners[:, :, 0]  # (cells, triangle, vertex)
+    j = cy[:, None, None] + corners[:, :, 1]
+    pts = _QBARY @ np.stack([grid.xs[i], grid.ys[j]], axis=-1)  # (cells, 2, 7, 2)
+    weights = np.broadcast_to(_QW * (0.5 * hx * hy), pts.shape[:-1])
+    return pts[..., 0].reshape(-1), pts[..., 1].reshape(-1), weights.reshape(-1)
+
+
+def _basis_at_quadrature(grid: DofGrid):
+    """Points x, y and weights w, (P,) each, basis values (P, N) and the
+    gradients' components (P, N) each."""
+    x, y, w = _quadrature(grid)
+    g = basis_gradients(grid, x, y)
+    return x, y, w, basis_values(grid, x, y), g[..., 0], g[..., 1]
 
 
 @dataclass(frozen=True)
@@ -129,42 +153,34 @@ class DenseOperators:
 
 
 def dense_assemble_all(grid: DofGrid, spec: ProblemSpec, U: np.ndarray) -> DenseOperators:
-    """Assemble M, A, R and S(U) densely by direct quadrature of each entry."""
+    """Assemble M, A, R and S(U) densely by direct quadrature of each entry.
+
+    Each is a dense product over all quadrature points at once.  M and A are
+    the Gram matrices of the values and of the gradients, both scaled by the
+    square roots of the weights, so they come out exactly symmetric; R and S
+    share one product of the weighted values with their two column factors.
+    """
     _check_size(grid)
-    N = grid.N
     U = np.asarray(U, dtype=float)
-    M = np.zeros((N, N))
-    A = np.zeros((N, N))
-    R = np.zeros((N, N))
-    S = np.zeros((N, N))
-    for x, y, w in _quad_points(grid):
-        phi = basis_values(grid, x, y)
-        g = basis_gradients(grid, x, y)
-        gx, gy = g[:, 0], g[:, 1]
-        M += w * np.outer(phi, phi)
-        A += w * (np.outer(gx, gx) + np.outer(gy, gy))
-        px, py = spec.grad_p(np.asarray(x), np.asarray(y))
-        # V(p) . grad phi_J weighted by phi_I
-        R += w * np.outer(phi, -float(py) * gx + float(px) * gy)
-        ux = gx @ U
-        uy = gy @ U
-        S += w * np.outer(phi, -uy * gx + ux * gy)
-    return DenseOperators(M=M, A=A, R=R, S=S)
+    x, y, w, phi, gx, gy = _basis_at_quadrature(grid)
+    root = np.sqrt(w)[:, None]
+    values = root * phi
+    grads = np.concatenate([root * gx, root * gy])
+    px, py = (np.broadcast_to(v, x.shape)[:, None] for v in spec.grad_p(x, y))
+    ux, uy = (gx @ U)[:, None], (gy @ U)[:, None]
+    # V(p) . grad phi_J and V(u_N) . grad phi_J, weighted by phi_I
+    columns = np.hstack([-py * gx + px * gy, -uy * gx + ux * gy])
+    R, S = np.hsplit((w[:, None] * phi).T @ columns, 2)
+    return DenseOperators(M=values.T @ values, A=grads.T @ grads, R=R, S=S)
 
 
 def dense_B(grid: DofGrid, W: np.ndarray) -> np.ndarray:
     """B(W) with column j = integral of (V(phi_j) . grad w_N) phi_I."""
     _check_size(grid)
     W = np.asarray(W, dtype=float)
-    B = np.zeros((grid.N, grid.N))
-    for x, y, w in _quad_points(grid):
-        phi = basis_values(grid, x, y)
-        g = basis_gradients(grid, x, y)
-        gx, gy = g[:, 0], g[:, 1]
-        wx = gx @ W
-        wy = gy @ W
-        B += w * np.outer(phi, -wx * gy + wy * gx)
-    return B
+    _, _, w, phi, gx, gy = _basis_at_quadrature(grid)
+    wx, wy = (gx @ W)[:, None], (gy @ W)[:, None]
+    return (w[:, None] * phi).T @ (-wx * gy + wy * gx)
 
 
 def fd_jacobian(ops: FemOperators, state: State, tau: float, step: float) -> np.ndarray:

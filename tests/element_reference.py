@@ -1,9 +1,10 @@
 """Per-element reference constructions shared by the grid and assembly tests.
 
-The package builds a grid from its stencil alone; these are the element-by-
-element routes it replaced, kept as independent references: the sparsity
-pattern and scatter map by sorting and deduplicating every element pair,
-the eager element arrays, and summation through the scatter map.
+The package builds a grid from its stencil alone and never forms element
+arrays; these are the element-by-element routes it replaced, kept as
+independent references and the only place element arrays are built: the
+sparsity pattern and scatter map by sorting and deduplicating every element
+pair, the element arrays, and summation through the scatter map.
 """
 
 import numpy as np
@@ -21,8 +22,9 @@ def reference_pattern(grid):
     which lists each row in stencil-label order.
     """
     N = grid.N
-    rows = np.repeat(grid.tri_dofs, 3, axis=1).reshape(-1)
-    cols = np.tile(grid.tri_dofs, (1, 3)).reshape(-1)
+    tri_dofs = eager_element_arrays(grid.Lx, grid.Ly, grid.n)[0]
+    rows = np.repeat(tri_dofs, 3, axis=1).reshape(-1)
+    cols = np.tile(tri_dofs, (1, 3)).reshape(-1)
     keys, scatter = np.unique(rows * N + cols, return_inverse=True)
     counts = np.bincount(keys // N, minlength=N)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
@@ -45,7 +47,7 @@ def scatter_csr(grid, contributions):
 def eager_element_arrays(Lx, Ly, n):
     """tri_dofs, tri_coords, tri_grads and tri_area as build_grid once built
     them with every grid: cells in cy-major order, the two reference
-    triangles each, vertices unwrapped."""
+    triangles each, vertices unwrapped (the last cells reach Lx and Ly)."""
     m = n - 1
     hx, hy = Lx / m, Ly / m
     N = m * m

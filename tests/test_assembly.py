@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from element_reference import scatter_csr
+from element_reference import eager_element_arrays, scatter_csr
 from hmfem import (
     EvaluationError,
     ShapeError,
@@ -25,19 +25,26 @@ from hmfem.sparse import circulant_average
 
 def assemble_S_loop(grid, U):
     """Per-element reference for the array-built assemble_S."""
-    nel = len(grid.tri_area)
+    tri_dofs, _, tri_grads, tri_area = eager_element_arrays(grid.Lx, grid.Ly, grid.n)
+    nel = len(tri_area)
     vals = np.empty((nel, 3, 3))
-    third = grid.tri_area / 3.0
+    third = tri_area / 3.0
     for e in range(nel):
-        g = grid.tri_grads[e]
-        ux, uy = U[grid.tri_dofs[e]] @ g  # grad of u_N, constant on the element
+        g = tri_grads[e]
+        ux, uy = U[tri_dofs[e]] @ g  # grad of u_N, constant on the element
         vals[e] = third[e] * (ux * g[:, 1] - uy * g[:, 0])
     return scatter_csr(grid, vals.reshape(-1))
 
 
+def element_corners(grid):
+    """(nel, 3, 2) vertex coordinates of the grid's elements."""
+    return eager_element_arrays(grid.Lx, grid.Ly, grid.n)[1]
+
+
 def element_geometry(grid):
     """Basis gradients and areas from each element's own vertices."""
-    x, y = grid.tri_coords[..., 0], grid.tri_coords[..., 1]
+    corners = element_corners(grid)
+    x, y = corners[..., 0], corners[..., 1]
     (x0, x1, x2), (y0, y1, y2) = x.T, y.T
     twice_area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     gx = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
@@ -52,7 +59,7 @@ def per_element_operators(grid, grad_p):
     local_M = (np.ones((3, 3)) + np.eye(3)) / 12.0
     M = scatter_csr(grid, np.outer(area, local_M.reshape(-1)).reshape(-1)).values
     A = scatter_csr(grid, (area[:, None, None] * (g @ g.transpose(0, 2, 1))).reshape(-1)).values
-    corners = grid.tri_coords
+    corners = element_corners(grid)
     mids = 0.5 * (corners + np.roll(corners, -1, axis=1))
     px, py = (np.broadcast_to(v, mids.shape[:2]) for v in grad_p(mids[..., 0], mids[..., 1]))
     phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -75,8 +82,10 @@ def test_geometry_and_operators_match_per_element_formulas(tid, n, Lx, Ly):
     g = build_grid(Lx, Ly, n)
     ops = assemble_operators(g, grad_p)
     grads, area = element_geometry(g)
-    assert np.abs(g.tri_grads - grads).max() <= 1e-13 * np.abs(grads).max()
-    assert np.abs(g.tri_area - area).max() <= 1e-13 * area.max()
+    # Every cell repeats the grid's two reference triangles.
+    ref_grads, ref_area = np.tile(g.ref_grads, (g.N, 1, 1)), np.tile(g.ref_area, g.N)
+    assert np.abs(ref_grads - grads).max() <= 1e-13 * np.abs(grads).max()
+    assert np.abs(ref_area - area).max() <= 1e-13 * area.max()
     for name, ref in per_element_operators(g, grad_p).items():
         scale = np.abs(ref).max() or 1.0
         assert np.abs(getattr(ops, name).values - ref).max() <= 1e-13 * scale, name
@@ -194,7 +203,7 @@ def test_R_samples_each_edge_midpoint_once(n, Lx, Ly):
     ((x, y),) = calls
     m = n - 1
     assert x.shape == y.shape == (3 * g.N + 2 * m,)
-    corners = g.tri_coords
+    corners = element_corners(g)
     mids = (0.5 * (corners + np.roll(corners, -1, axis=1))).reshape(-1, 2)
     assert np.array_equal(np.unique(np.stack([x, y], axis=1), axis=0), np.unique(mids, axis=0))
 

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import threading
@@ -307,6 +308,27 @@ def test_two_writers_write_the_same_bytes(tmp_path, monkeypatch):
         assert two.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_failed_fork_writes_everything_in_one_process(tmp_path, monkeypatch):
+    # Under a process or memory limit os.fork raises; the run still writes
+    # every snapshot and the log, with the bytes of the one-writer path.
+    one, failed = tmp_path / "one", tmp_path / "failed"
+    assert _main_with_cpus(monkeypatch, {0}, ODD_RUN + ["--out", str(one)]) == (0, 0)
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    # One fork tried, none made.
+    assert _main_with_cpus(monkeypatch, {0, 1}, ODD_RUN + ["--out", str(failed)]) == (0, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in failed.iterdir())
+    assert len(names) == 6 and "convergence.csv" in names
+    for name in names[1:]:  # the snapshots, after convergence.csv
+        assert (one / name).read_bytes() == (failed / name).read_bytes()
+
+
 def test_out_that_cannot_be_created_is_a_usage_error(tmp_path, monkeypatch, capsys):
     (tmp_path / "file").write_text("")
     monkeypatch.setattr(cli, "run", lambda *a, **kw: pytest.fail("the run started"))
@@ -383,7 +405,8 @@ def test_main_builds_no_element_arrays(tmp_path, monkeypatch):
             "--out", str(tmp_path / "run")]  # fmt: skip
     assert main(argv) == 0
     (result,) = results
-    assert not {"tri_dofs", "tri_coords", "tri_grads", "tri_area"} & set(vars(result.grid))
+    names = {"tri_dofs", "tri_coords", "tri_grads", "tri_area"}
+    assert not any(hasattr(result.grid, name) for name in names)
 
 
 def test_small_tau_snapshots_get_distinct_names(tmp_path):

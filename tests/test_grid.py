@@ -15,24 +15,19 @@ from hmfem import (
 def test_counts_2x2_cells():
     g = build_grid(1.0, 1.0, 3)
     assert g.N == 4
-    assert g.tri_dofs.shape == (8, 3)
-    assert g.tri_coords.shape == (8, 3, 2)
-    assert g.tri_grads.shape == (8, 3, 2)
-    assert g.tri_area.shape == (8,)
     assert g.h == 0.5
 
 
 def test_counts_reference_scale():
     g = build_grid(1.0, 1.0, 17)
     assert g.N == 256
-    assert len(g.tri_dofs) == len(g.tri_coords) == len(g.tri_grads) == 512
-    assert len(g.tri_area) == 512
 
 
 def test_spacing_and_six_element_support():
     g = build_grid(np.pi, np.pi, 33)
     assert g.h == pytest.approx(np.pi / 32)
-    counts = np.bincount(g.tri_dofs.ravel(), minlength=g.N)
+    tri_dofs = eager_element_arrays(g.Lx, g.Ly, g.n)[0]
+    counts = np.bincount(tri_dofs.ravel(), minlength=g.N)
     assert len(counts) == g.N
     assert (counts == 6).all()
 
@@ -73,28 +68,29 @@ def test_dof_periodic_identification(i, j):
 
 def test_areas_and_vertex_bounds():
     g = build_grid(2.0, 2.0, 9)
-    assert np.allclose(g.tri_area, g.h**2 / 2)
-    assert g.tri_area.sum() == pytest.approx(g.Lx * g.Ly)
-    assert (g.tri_coords >= 0).all()
-    assert (g.tri_coords[:, :, 0] <= g.Lx).all()
-    assert (g.tri_coords[:, :, 1] <= g.Ly).all()
+    assert np.allclose(g.ref_area, g.h**2 / 2)
+    assert g.N * g.ref_area.sum() == pytest.approx(g.Lx * g.Ly)
+    assert g.xs[0] == g.ys[0] == 0.0 and (np.diff(g.xs) > 0).all() and (np.diff(g.ys) > 0).all()
+    assert g.xs[-1] == g.Lx and g.ys[-1] == g.Ly
 
 
 def test_basis_gradients_sum_to_zero():
     g = build_grid(np.pi, np.pi, 7)
-    assert np.allclose(g.tri_grads.sum(axis=1), 0.0, atol=1e-14)
+    assert np.allclose(g.ref_grads.sum(axis=1), 0.0, atol=1e-14)
 
 
 def test_partition_of_unity():
     # phi_a(x) = 1 + grad_a . (x - v_a); the three local functions sum to 1
-    # at the centroid and at every vertex.
+    # at the centroid and at every vertex.  Every cell repeats the grid's two
+    # reference triangles.
     g = build_grid(1.5, 1.5, 5)
-    coords, grads = g.tri_coords, g.tri_grads
+    coords = eager_element_arrays(g.Lx, g.Ly, g.n)[1]
+    grads = np.tile(g.ref_grads, (g.N, 1, 1))
     # (element, point) rows: the centroid, then the three vertices.
     pts = np.concatenate([coords.mean(axis=1, keepdims=True), coords], axis=1)
     # vals[e, p, a] = 1 + grads[e, a] . (pts[e, p] - coords[e, a])
     vals = 1.0 + np.einsum("ead,epad->epa", grads, pts[:, :, None] - coords[:, None])
-    assert vals.shape == (len(g.tri_dofs), 4, 3)
+    assert vals.shape == (2 * g.N, 4, 3)
     assert np.allclose(vals.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
@@ -144,14 +140,21 @@ ELEMENT_ARRAYS = ("tri_dofs", "tri_coords", "tri_grads", "tri_area")
     + [pytest.param(7, 1.0, 3.0, id="7-1x3")],
 )
 def test_element_arrays_are_built_lazily_as_before(n, Lx, Ly):
-    # build_grid forms the stencil alone; each element array is built on
-    # its first read, equal bit for bit to the eager construction, and kept.
+    # The grid builds no element array, neither at build_grid nor on a
+    # read; only the per-element reference builds them, as build_grid once
+    # did, and they agree with what the grid keeps: its two reference
+    # triangles, its node coordinates and its dof numbering.
     g = build_grid(Lx, Ly, n)
-    assert not set(ELEMENT_ARRAYS) & set(vars(g))
-    for name, ref in zip(ELEMENT_ARRAYS, eager_element_arrays(Lx, Ly, n)):
-        lazy = getattr(g, name)
-        assert np.array_equal(lazy, ref) and lazy.dtype == ref.dtype, name
-        assert vars(g)[name] is lazy and getattr(g, name) is lazy
-    assert np.array_equal(g.tri_grads[:2], g.ref_grads)
-    assert np.array_equal(g.tri_area[:2], g.ref_area)
-
+    assert not any(hasattr(g, name) for name in ELEMENT_ARRAYS)
+    tri_dofs, tri_coords, tri_grads, tri_area = eager_element_arrays(Lx, Ly, n)
+    assert np.array_equal(tri_grads[:2], g.ref_grads) and tri_grads.dtype == g.ref_grads.dtype
+    assert np.array_equal(tri_area[:2], g.ref_area) and tri_area.dtype == g.ref_area.dtype
+    assert np.array_equal(tri_grads, np.tile(g.ref_grads, (g.N, 1, 1)))
+    assert np.array_equal(tri_area, np.tile(g.ref_area, g.N))
+    # Every vertex is a lattice node, and its dof is that node's.
+    i = np.searchsorted(g.xs, tri_coords[..., 0])
+    j = np.searchsorted(g.ys, tri_coords[..., 1])
+    assert np.array_equal(g.xs[i], tri_coords[..., 0])
+    assert np.array_equal(g.ys[j], tri_coords[..., 1])
+    dofs = [dof_of_node(g, a, b) for a, b in zip(i.ravel().tolist(), j.ravel().tolist())]
+    assert np.array_equal(tri_dofs.ravel(), dofs)

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +20,8 @@ from hmfem import (
 )
 from hmfem.oracle import (
     DENSE_N_MAX,
+    _quadrature,
+    basis_gradients,
     basis_values,
     dense_assemble_all,
     dense_B,
@@ -45,7 +48,7 @@ CASES = [pytest.param(preset(2), n, id=str(n)) for n in (3, 5, 9)] + [
 ]
 
 
-@pytest.mark.parametrize("spec,n", CASES)
+@pytest.mark.parametrize("spec,n", CASES + [pytest.param(preset(2), 17, id="17")])
 def test_dense_oracle_matches_sparse_operators(spec, n):
     g = build_grid(spec.Lx, spec.Ly, n)
     U = np.random.default_rng(n).standard_normal(g.N)
@@ -76,8 +79,45 @@ def test_basis_partition_of_unity():
         assert basis_values(g, x, y).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_basis_on_arrays_of_points_equals_per_point_calls():
+    g = build_grid(np.pi, np.pi, 5)
+    x, y = np.random.default_rng(0).uniform(0, np.pi, (2, 20))
+    phi, grads = basis_values(g, x, y), basis_gradients(g, x, y)
+    assert phi.shape == (20, g.N) and grads.shape == (20, g.N, 2)
+    for k in range(20):
+        assert np.array_equal(phi[k], basis_values(g, x[k], y[k]))
+        assert np.array_equal(grads[k], basis_gradients(g, x[k], y[k]))
+
+
+#: The grid fields the oracle may read: it places its own quadrature.
+LATTICE = {"n", "Lx", "Ly", "N", "xs", "ys"}
+
+
+def test_oracle_reads_only_the_lattice(rng):
+    # Every other field of the grid (spacing, reference triangles, stencil)
+    # filled with garbage leaves the oracle's operators as they were.
+    g = build_grid(RECT.Lx, RECT.Ly, 7)
+
+    def garbage(value):
+        value = np.asarray(value)
+        if value.dtype.kind == "f":
+            return np.full_like(value, np.nan)
+        return rng.integers(-9, 9, value.shape).astype(value.dtype)
+
+    fields = (f.name for f in dataclasses.fields(g) if f.name not in LATTICE)
+    garbled = dataclasses.replace(g, **{name: garbage(getattr(g, name)) for name in fields})
+    U, W = rng.standard_normal((2, g.N))
+    true, bad = dense_assemble_all(g, RECT, U), dense_assemble_all(garbled, RECT, U)
+    for name in "MARS":
+        assert np.array_equal(getattr(true, name), getattr(bad, name)), name
+    assert np.array_equal(dense_B(g, W), dense_B(garbled, W))
+    x, y, w = _quadrature(garbled)
+    assert x.shape == y.shape == w.shape == (7 * 2 * g.N,)
+    assert w.sum() == pytest.approx(RECT.Lx * RECT.Ly, rel=1e-14)
+
+
 def test_oracle_refuses_large_grids():
-    g = build_grid(1.0, 1.0, 11)
+    g = build_grid(1.0, 1.0, DENSE_N_MAX + 1)
     with pytest.raises(OracleSizeError):
         dense_assemble_all(g, preset(1), np.zeros(g.N))
 
@@ -193,7 +233,8 @@ def test_y_only_data_follow_the_linear_recursion(tid, method):
     # Tests 1 and 2 start from data in y alone and drift with grad p =
     # (p_x, 0): u_N and w_N stay functions of y, V(u_N) . grad w_N =
     # -u_y w_x vanishes, and S(U) W = 0, so every method must reproduce
-    # its linear recursion.  n is the dense oracle's largest grid.
+    # its linear recursion.  n is the dense oracle's largest grid, the
+    # reference grid n = 17.
     n, tau, steps = DENSE_N_MAX, 0.1, 10
     ref = dense_linear_run(tid, n, tau, steps, implicit=method != "semilinear")
     cfg = SolverConfig(tau=tau, method=method)
