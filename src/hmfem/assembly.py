@@ -21,7 +21,8 @@ circulant bit for bit.  R samples the drift once at every edge midpoint,
 then, a block of cell rows at a time, forms each cell's two local
 matrices with the reference triangles' gradients and sums them row by row
 per stencil label, which is the slot order; all of it is assembled once
-per run.
+per run.  A enters the run only through K: ``assemble_operators`` sums
+its stencil into K's and keeps M, K and R.
 S(U) is linear in U, so its value array is the product of one fixed
 sparse matrix with U, the grid's closed-form stencil of S, which the grid
 builds on the first ``assemble_S`` and keeps (``DofGrid.s_factor``).
@@ -51,8 +52,10 @@ _BLOCK_CELLS = 1024
 class FemOperators:
     """The fixed matrices of one grid/problem pair; assembled once per run.
 
-    ``cache`` holds the run's solvers, each built once: the FFT inverses
-    (``SpectralSolver``) of M and K with their rounding floors, through
+    M, K = M + A and R.  No step reads the stiffness matrix A alone, so it
+    is not kept; ``assemble_stiffness`` builds it.  ``cache`` holds the
+    run's solvers, each built once: the FFT inverses (``SpectralSolver``)
+    of M and K with their rounding floors, through
     ``solvers.cached_solver``, and per tau the triple (-tau R, inverse of
     [[-tau R, M], [K, -M]], its rounding floor).  That inverse is a
     ``SpectralSolver`` of the 2x2 block of symbols, exact when the drift is
@@ -60,7 +63,6 @@ class FemOperators:
     """
 
     M: CsrMatrix
-    A: CsrMatrix
     K: CsrMatrix
     R: CsrMatrix
     grid: DofGrid
@@ -229,8 +231,8 @@ def assemble_B(grid: DofGrid, W: np.ndarray) -> CsrMatrix:
 
 
 def assemble_operators(grid: DofGrid, grad_p) -> FemOperators:
-    """Assemble the state-independent operators M, A, K = M+A, R."""
+    """Assemble the state-independent operators M, K = M+A, R."""
     M = assemble_mass(grid)
     A = assemble_stiffness(grid)
     K = CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, M.values + A.values)
-    return FemOperators(M=M, A=A, K=K, R=assemble_R(grid, grad_p), grid=grid)
+    return FemOperators(M=M, K=K, R=assemble_R(grid, grad_p), grid=grid)

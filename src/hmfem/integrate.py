@@ -42,13 +42,13 @@ DEFAULT_CAP = 0.3
 MAX_STEPS = 10**6
 
 #: The most partition points per side of a run's grid.  ``build_grid``,
-#: ``assemble_operators`` and the first ``assemble_S`` peak at about 0.5 KB
-#: per dof (tracemalloc at n = 65 and 129: 494 and 492 B), set by the S
-#: stencil's build and the first S(U) on top of the kept grid, M, A, K and
-#: R; ``assemble_R`` works in row blocks and peaks below that.  A newton
-#: run peaks higher, at about 1.0 KB per dof in its steps (1011 B at
-#: n = 65), so the (MAX_N - 1)^2 dofs bound set-up near 0.13 GB and a run
-#: near 0.27 GB; the paper's grids have n <= 129.
+#: ``assemble_operators`` and the first ``assemble_S`` peak at about 0.44 KB
+#: per dof (tracemalloc at n = 65 and 129: 439 and 436 B), set by the S
+#: stencil's build and the first S(U) on top of the kept grid, M, K and R;
+#: ``assemble_R`` works in row blocks and peaks below that.  A newton run
+#: peaks higher, at about 0.96 KB per dof in its steps (955 B at n = 65),
+#: so the (MAX_N - 1)^2 dofs bound set-up near 0.12 GB and a run near
+#: 0.25 GB; the paper's grids have n <= 129.
 MAX_N = 513
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FemOperators, assemble_operators
+from .assembly import FemOperators, assemble_operators, assemble_S, assemble_stiffness
 from .errors import OracleSizeError
 from .grid import DofGrid
 from .problems import ProblemSpec
@@ -188,8 +188,6 @@ def fd_jacobian(ops: FemOperators, state: State, tau: float, step: float) -> np.
     _check_size(ops.grid)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    from .assembly import assemble_S
-
     N = ops.grid.N
     Z = np.zeros(N)  # the Jacobian does not depend on Z
 
@@ -240,8 +238,6 @@ def dense_operators_match(grid: DofGrid, spec: ProblemSpec, U: np.ndarray, rtol:
     for operators that are exactly zero (R vanishes identically on the
     2-cell torus by symmetry).
     """
-    from .assembly import assemble_S
-
     dense = dense_assemble_all(grid, spec, U)
     ops = assemble_operators(grid, spec.grad_p)
     S = assemble_S(grid, U)
@@ -249,7 +245,7 @@ def dense_operators_match(grid: DofGrid, spec: ProblemSpec, U: np.ndarray, rtol:
     ok = True
     for name, d, s in (
         ("M", dense.M, ops.M),
-        ("A", dense.A, ops.A),
+        ("A", dense.A, assemble_stiffness(grid)),
         ("R", dense.R, ops.R),
         ("S", dense.S, S),
     ):

@@ -23,16 +23,17 @@ are block circulant, so ``cached_solver`` inverts them by FFT
 (``SpectralSolver`` of one block) for ``init_w0`` and semilinear.  The FFT
 splits the state-free matrix into one 2x2 system per mode
 (``SpectralSolver`` of the 2x2 block of symbols that ``_cached_elimination``
-states), with -tau R replaced by its nearest block-circulant matrix
-(``circulant_average``).  That inverse is exact when the drift gradient is
-uniform and a close approximate inverse when it varies in space; either
-way nothing is factored.  Every solve inside a step goes through
-``_Work.solve``: it refuses a non-finite right-hand side, corrects against
-a nearby inverse down to the residual's rounding floor, falls back to a
-fresh LU of the system when the correction stalls, and counts the
-corrections and LUs.  ``ops.cache`` keeps the FFT inverses of M and K and,
-per tau, -tau R with the inverse of the state-free matrix, each with the
-rounding floor of its matrix, so a floor costs no set-up per step.
+states), with -tau R replaced by its nearest block-circulant matrix,
+T. F. Chan's circulant (``circulant_symbol``).  That inverse is exact when
+the drift gradient is uniform and a close approximate inverse when it
+varies in space; either way nothing is factored.  Every solve inside a
+step goes through ``_Work.solve``: it refuses a non-finite right-hand
+side, corrects against a nearby inverse down to the residual's rounding
+floor, falls back to a fresh LU of the system when the correction stalls,
+and counts the corrections and LUs.  ``ops.cache`` keeps the FFT inverses
+of M and K and, per tau, -tau R with the inverse of the state-free
+matrix, each with the rounding floor of its matrix, so a floor costs no
+set-up per step.
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ def cached_solver(ops: FemOperators, name: str):
 def _cached_elimination(ops: FemOperators, tau: float):
     """-tau R, the inverse of [[-tau R, M], [K, -M]] and its rounding floor, once per tau.
 
-    The inverse is a ``SpectralSolver`` of the symbols of M, K and the
-    ``circulant_average`` of -tau R (``circulant_symbol``), exact up to
+    The inverse is a ``SpectralSolver`` of the symbols of M, K and
+    Chan's circulant of -tau R (``circulant_symbol``), exact up to
     round-off when the drift gradient is uniform (tests 1-4); on test 5
     each defect correction against it multiplies the residual by about
     1e-2.  Nothing is factored.

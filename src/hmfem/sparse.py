@@ -16,16 +16,17 @@ contract and lies at its own rounding floor, eps ||A||_inf ||x|| per block
 column (``rounding_floor``), below which a correction only stirs
 round-off.  ``SpectralSolver`` inverts a 1x1 or 2x2 block of
 block-circulant matrices mode by mode from the blocks' symbols (their 2-D
-FFT).  ``circulant_average`` maps a matrix on the grid's periodic stencil
-to its nearest block-circulant one, so a matrix that is not circulant
-still gets a symbol to precondition with; ``circulant_symbol`` is that
-symbol, formed from the averaged stencil without the matrix.
+FFT).  ``symbol`` places row 0's values in the first column;
+``circulant_symbol`` places there the mean of every row's, the stencil of
+the nearest block-circulant matrix, so a matrix that is not circulant
+still gets a symbol to precondition with.  Both go through one helper,
+``_stencil_symbol``.
 
 The stencil layout: each of the N rows holds k slots, and slot p of every
 row holds the same periodic offset, stencil label p % k, whatever its
 column.  A block-circulant matrix's values are therefore one row's k values
 repeated N times, and ``values.reshape(N, k)`` lines the rows' entries of
-one offset up in a column.  ``circulant_average`` and ``stencil_norm`` rely
+one offset up in a column.  ``circulant_symbol`` and ``stencil_norm`` rely
 on it; every other routine takes any column order.
 """
 
@@ -287,41 +288,41 @@ class SpectralSolver:
         return _ifft2(self._cols[0] * r1 + self._cols[1] * r2, m).reshape(-1)
 
 
-def circulant_average(A: CsrMatrix) -> CsrMatrix:
-    """T. F. Chan's optimal circulant of A (SIAM J. Sci. Stat. Comput. 9, 1988).
+def symbol(A: CsrMatrix) -> np.ndarray:
+    """The eigenvalues of a block-circulant A: the 2-D DFT of its first column.
 
-    A lies on the stencil layout.  Each slot gets the mean over all N rows
-    of A's entries at its offset: the block-circulant matrix nearest A in
-    the Frobenius norm.  The mean is taken of each entry's difference to
-    row 0's entry at the same offset, which is added back, so a
-    block-circulant A comes back bit for bit.
+    A's entry (r, 0) is row 0's entry at column -r, so the first column is
+    row 0's values placed by negated column (``_stencil_symbol``).
     """
-    return CsrMatrix(
-        A.nrows, A.ncols, A.row_offsets, A.col_indices, np.tile(_average_stencil(A), A.nrows)
-    )
-
-
-def _average_stencil(A: CsrMatrix) -> np.ndarray:
-    """The k values of every row of ``circulant_average(A)``."""
-    values = A.values.reshape(A.nrows, -1)
-    row0 = values[0]
-    return row0 + (values - row0).mean(axis=0)
+    return _stencil_symbol(A, A.values[: A.row_offsets[1]])
 
 
 def circulant_symbol(A: CsrMatrix) -> np.ndarray:
-    """``symbol(circulant_average(A))``, formed from the averaged stencil alone.
+    """The symbol of T. F. Chan's optimal circulant of A (SIAM J. Sci. Stat. Comput. 9, 1988).
 
-    Row r holds offset d in column r + d, so the first column of a
-    block-circulant matrix holds, in row -d, the stencil's value at d: the
-    row whose dof is that of row 0's column negated.  Each value enters
-    as the product with e0 leaves it (a zero comes out +0), so the symbol
-    is ``symbol``'s bit for bit, without the average tiled over the N rows
-    and without the product.
+    A lies on the stencil layout.  Chan's circulant holds at each offset
+    the mean over all N rows of A's entries there: the block-circulant
+    matrix nearest A in the Frobenius norm.  The mean is taken of each
+    entry's difference to row 0's entry at the same offset, which is added
+    back, so a block-circulant A keeps its ``symbol`` bit for bit.
+    """
+    values = A.values.reshape(A.nrows, -1)
+    row0 = values[0]
+    return _stencil_symbol(A, row0 + (values - row0).mean(axis=0))
+
+
+def _stencil_symbol(A: CsrMatrix, stencil: np.ndarray) -> np.ndarray:
+    """The symbol of the block-circulant matrix with ``stencil`` in the slots of A's row 0.
+
+    Row r holds offset d in column r + d, so the first column holds, in row
+    -d, the stencil's value at d: the row whose dof is that of row 0's
+    column negated.  Each value enters as a product with e0 would leave it
+    (a zero comes out +0).
     """
     m = _side(A)
     cj, ci = np.divmod(A.col_indices[: A.row_offsets[1]], m)
     column = np.zeros(A.nrows)
-    column[-cj % m * m + -ci % m] = _average_stencil(A) + 0.0
+    column[-cj % m * m + -ci % m] = stencil + 0.0
     return _fft2(column.reshape(m, m))
 
 
@@ -331,14 +332,6 @@ def stencil_norm(A: CsrMatrix) -> float:
     Every row holds the same stencil, so row 0's absolute sum is the norm.
     """
     return float(np.abs(A.values[: A.row_offsets[1]]).sum())
-
-
-def symbol(A: CsrMatrix) -> np.ndarray:
-    """The eigenvalues of a block-circulant A: the 2-D DFT of its first column."""
-    m = _side(A)
-    e0 = np.zeros(A.nrows)
-    e0[0] = 1.0
-    return _fft2(matvec(A, e0).reshape(m, m))
 
 
 def _side(A: CsrMatrix) -> int:

@@ -6,8 +6,12 @@ independent references and the only place element arrays are built: the
 sparsity pattern and scatter map by sorting and deduplicating every element
 pair, the element arrays, and summation through the scatter map.  Beside
 them lies the whole-grid route to R that ``assemble_R`` replaced by row
-blocks, ``unblocked_assemble_R``.
+blocks, ``unblocked_assemble_R``, and T. F. Chan's circulant average tiled
+over every row, ``circulant_average``, whose symbol the package forms from
+the averaged stencil alone (``circulant_symbol``).
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -115,3 +119,17 @@ def _padded_cell_samples(grid, grad_p):
     samples[..., 0, 1:] = samples[..., m, 1:]
     samples[..., 0] = samples[..., m]
     return samples
+
+
+def circulant_average(A):
+    """T. F. Chan's optimal circulant of A (SIAM J. Sci. Stat. Comput. 9, 1988).
+
+    A lies on the stencil layout.  Each slot gets the mean over all N rows
+    of A's entries at its offset: the block-circulant matrix nearest A in
+    the Frobenius norm.  The mean is taken of each entry's difference to
+    row 0's entry at the same offset, which is added back, so a
+    block-circulant A comes back bit for bit.
+    """
+    values = A.values.reshape(A.nrows, -1)
+    row0 = values[0]
+    return replace(A, values=np.tile(row0 + (values - row0).mean(axis=0), A.nrows))

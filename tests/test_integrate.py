@@ -115,24 +115,27 @@ def test_run_builds_no_element_arrays(tid, method):
 
 def test_setup_memory_peak_per_dof():
     # The peak behind MAX_N: build_grid, assemble_operators and the first
-    # assemble_S traced together peak at 494 B per dof at n = 65 (492 at
+    # assemble_S traced together peak at 439 B per dof at n = 65 (436 at
     # n = 129), set by the S factor's build and the first S(U) on top of the
-    # kept grid, M, A, K and R; R's row blocks peak below it.  The bound
-    # leaves 16% for allocator and library variation.  build_grid keeps its
-    # CSR arrays and little else, 33 B per dof, and peaks at 46, so an
+    # kept grid, M, K and R; R's row blocks peak below it.  The bound
+    # leaves 16% for allocator and library variation.  Set-up keeps 431 B
+    # per dof, the S factor and the first S(U) included; a stored stiffness
+    # matrix (56 B per dof) would break the 460 B bound.  build_grid keeps
+    # its CSR arrays and little else, 33 B per dof, and peaks at 46, so an
     # int64 array per slot (56 B per dof) would break either bound.
     spec = preset(2)
     tracemalloc.start()
     try:
         g = build_grid(spec.Lx, spec.Ly, 65)
-        kept, grid_peak = tracemalloc.get_traced_memory()
-        assemble_operators(g, spec.grad_p)
-        assemble_S(g, np.ones(g.N))
-        peak = tracemalloc.get_traced_memory()[1]
+        grid_kept, grid_peak = tracemalloc.get_traced_memory()
+        ops = assemble_operators(g, spec.grad_p)
+        S = assemble_S(g, np.ones(g.N))
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept / g.N <= 48 and grid_peak / g.N <= 53
-    assert peak / g.N <= 574
+    assert grid_kept / g.N <= 48 and grid_peak / g.N <= 53
+    assert kept / g.N <= 460 and peak / g.N <= 509
+    assert ops.grid is g and S.nrows == g.N
 
 
 @pytest.mark.parametrize("method", ["newton", "chord", "modified", "semilinear"])

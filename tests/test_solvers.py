@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from element_reference import circulant_average
 from hmfem import (
     NonFiniteError,
     SolverConfig,
@@ -33,9 +34,10 @@ from hmfem.solvers import _cached_elimination, _Work, cached_solver, tau_bound_r
 from hmfem.sparse import (
     SparseLu,
     SpectralSolver,
-    circulant_average,
+    circulant_symbol,
     inf_norm,
     rounding_floor,
+    symbol,
 )
 
 
@@ -427,13 +429,15 @@ def test_spectral_elimination_matches_dense_inverse(Lx, Ly, n):
 def test_circulant_average_keeps_a_uniform_drift_symbol(tid, Lx, Ly, n):
     # A uniform drift gradient makes R block circulant, so averaging its
     # values per periodic stencil offset returns them bit for bit, also
-    # where the offsets fold through the wrap (n = 3).
+    # where the offsets fold through the wrap (n = 3), and the averaged
+    # symbol is R's own.
     ops = assemble_operators(build_grid(Lx, Ly, n), preset(tid).grad_p)
     neg_tau_R = -0.1 * ops.R
     averaged = circulant_average(neg_tau_R)
     assert averaged.row_offsets is neg_tau_R.row_offsets
     assert averaged.col_indices is neg_tau_R.col_indices
     assert np.array_equal(averaged.values, neg_tau_R.values)
+    assert circulant_symbol(neg_tau_R).tobytes() == symbol(neg_tau_R).tobytes()
 
 
 def test_circulant_average_preconditions_a_varying_drift(rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from element_reference import circulant_average
 from hmfem import (
     CsrMatrix,
     NotSpdError,
@@ -32,7 +33,6 @@ from hmfem.sparse import (
     _fft2,
     _ifft2,
     SOLVE_RTOL,
-    circulant_average,
     circulant_symbol,
     defect_correction,
     inf_norm,
@@ -44,6 +44,18 @@ from hmfem.sparse import (
 def csr(dense) -> CsrMatrix:
     """A CsrMatrix holding the nonzeros of a dense array."""
     return CsrMatrix.from_scipy(sp.csr_matrix(np.asarray(dense, dtype=float)))
+
+
+def first_column_symbol(A: CsrMatrix) -> np.ndarray:
+    """The 2-D DFT of A's first column, read from the dense matrix; a zero
+    enters as +0, as the product with e0 would give it."""
+    m = math.isqrt(A.nrows)
+    return np.fft.rfft2((A.to_dense()[:, 0] + 0.0).reshape(m, m))
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, signs of zeros included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def random_dense(rng, n, count):
@@ -300,19 +312,29 @@ def test_circulant_average_is_chans_circulant(rng, n):
     assert np.allclose(circulant_average(A).to_dense(), C, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [3, 4, 6, 17])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 17])
 def test_circulant_symbol_is_the_averaged_matrix_symbol(rng, n):
-    # Formed from the averaged stencil alone, the symbol is that of the
-    # tiled average through its first column, bit for bit: on random
-    # values on the grid's pattern (folded through the wrap at n = 3) and
-    # on test 5's -tau R, whose drift varies in space.
+    # Both symbols place a stencil in the first column, so each is the DFT
+    # of its matrix's first column bit for bit, signs of zeros included:
+    # Chan's tiled average of random values on the grid's pattern (folded
+    # through the wrap at n = 3) and of test 5's -tau R, whose drift varies
+    # in space; and the block-circulant M, A, K and uniform-drift -tau R of
+    # tests 1-4 (m odd at n = 4 and 6).
     grid = build_grid(1.0, 1.0, n)
     values = rng.standard_normal(grid.nnz_pattern)
     A = CsrMatrix(grid.N, grid.N, grid.csr_indptr, grid.csr_indices, values)
     spec = preset(5)
     R = assemble_operators(build_grid(spec.Lx, spec.Ly, n), spec.grad_p).R
     for X in (A, -0.1 * R):
-        assert np.array_equal(circulant_symbol(X), symbol(circulant_average(X)))
+        averaged = circulant_average(X)
+        assert same_bits(circulant_symbol(X), first_column_symbol(averaged))
+        assert same_bits(symbol(averaged), first_column_symbol(averaged))
+    for tid in (1, 2, 3, 4):
+        spec = preset(tid)
+        g = build_grid(spec.Lx, spec.Ly, n)
+        ops = assemble_operators(g, spec.grad_p)
+        for X in (ops.M, assemble_stiffness(g), ops.K, -0.1 * ops.R):
+            assert same_bits(symbol(X), first_column_symbol(X)), tid
 
 
 def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
@@ -324,14 +346,14 @@ def test_spectral_solve_corrects_or_refuses_non_circulant(rng):
     K, R = ops.K, ops.R
     near = replace(K, values=K.values - 0.1 * R.values)
     x, corrections = defect_correction(
-        b, partial(matvec, near), SpectralSolver([[symbol(near)]]).apply_inverse
+        b, partial(matvec, near), SpectralSolver([[first_column_symbol(near)]]).apply_inverse
     )
     assert corrections >= 2
     assert np.linalg.norm(matvec(near, x) - b) <= 1e-10 * np.linalg.norm(b)
     assert np.allclose(x, SparseLu(near).solve(b), rtol=0, atol=1e-12 * np.abs(x).max())
     # At tau = 10 the correction diverges, and the contract refuses it.
     far = replace(K, values=K.values - 10.0 * R.values)
-    inv_far = SpectralSolver([[symbol(far)]]).apply_inverse
+    inv_far = SpectralSolver([[first_column_symbol(far)]]).apply_inverse
     with pytest.raises(SingularMatrixError) as exc:
         defect_correction(b, partial(matvec, far), inv_far)
     assert exc.value.corrections == 1
@@ -405,13 +427,15 @@ def test_infinite_floor_still_meets_the_contract(rng):
     # The floor ends corrections only once the residual meets SOLVE_RTOL:
     # an infinite one stops at the first such x, and a zero one changes
     # nothing against no floor.  Test 5's drift varies in space, so the
-    # first residual against the FFT inverse is far above the contract.
+    # first residual against the FFT inverse of the first column is far
+    # above the contract.
     spec = preset(5)
     ops = assemble_operators(build_grid(spec.Lx, spec.Ly, 17), spec.grad_p)
     b = rng.standard_normal(ops.grid.N)
     K, R = ops.K, ops.R
     near = replace(K, values=K.values - 0.1 * R.values)
-    apply, inverse = partial(matvec, near), SpectralSolver([[symbol(near)]]).apply_inverse
+    apply = partial(matvec, near)
+    inverse = SpectralSolver([[first_column_symbol(near)]]).apply_inverse
     x, corrections = defect_correction(b, apply, inverse, lambda x: math.inf)
     res = np.linalg.norm(b - apply(x)) / np.linalg.norm(b)
     assert corrections >= 2 and res <= SOLVE_RTOL
@@ -425,7 +449,7 @@ def test_infinite_floor_still_meets_the_contract(rng):
     assert k_zero == k_none >= corrections and np.array_equal(x_zero, x_none)
     # A diverging correction is still refused.
     far = replace(K, values=K.values - 10.0 * R.values)
-    inv_far = SpectralSolver([[symbol(far)]]).apply_inverse
+    inv_far = SpectralSolver([[first_column_symbol(far)]]).apply_inverse
     with pytest.raises(SingularMatrixError) as exc:
         defect_correction(b, partial(matvec, far), inv_far, lambda x: math.inf)
     assert exc.value.corrections == 1
@@ -434,7 +458,8 @@ def test_infinite_floor_still_meets_the_contract(rng):
 @pytest.mark.parametrize("case", ["k1-stiffness", "k2-C=-K", "k2-A-block"])
 def test_spectral_solver_refuses_vanishing_determinant(case):
     ops = assemble_operators(build_grid(1.0, 1.0, 5), preset(2).grad_p)
-    rho, mu, kappa, alpha = (symbol(X) for X in (ops.R, ops.M, ops.K, ops.A))
+    stiffness = assemble_stiffness(ops.grid)
+    rho, mu, kappa, alpha = (symbol(X) for X in (ops.R, ops.M, ops.K, stiffness))
     symbols = {
         # Constants lie in the stiffness matrix's kernel: its symbol alpha
         # is 0 at the zero frequency.
