@@ -316,14 +316,15 @@ def _stencil_symbol(A: CsrMatrix, stencil: np.ndarray) -> np.ndarray:
 
     Row r holds offset d in column r + d, so the first column holds, in row
     -d, the stencil's value at d: the row whose dof is that of row 0's
-    column negated.  Each value enters as a product with e0 would leave it
-    (a zero comes out +0).
+    column negated, which numpy's negative indices wrap on the m x m grid.
+    Each value enters as a product with e0 would leave it (a zero comes
+    out +0).
     """
     m = _side(A)
     cj, ci = np.divmod(A.col_indices[: A.row_offsets[1]], m)
-    column = np.zeros(A.nrows)
-    column[-cj % m * m + -ci % m] = stencil + 0.0
-    return _fft2(column.reshape(m, m))
+    column = np.zeros((m, m))
+    column[-cj, -ci] = stencil + 0.0
+    return _fft2(column)
 
 
 def stencil_norm(A: CsrMatrix) -> float:
