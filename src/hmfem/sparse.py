@@ -315,10 +315,9 @@ def _stencil_symbol(A: CsrMatrix, stencil: np.ndarray) -> np.ndarray:
     """The symbol of the block-circulant matrix with ``stencil`` in the slots of A's row 0.
 
     Row r holds offset d in column r + d, so the first column holds, in row
-    -d, the stencil's value at d: the row whose dof is that of row 0's
-    column negated, which numpy's negative indices wrap on the m x m grid.
-    Each value enters as a product with e0 would leave it (a zero comes
-    out +0).
+    -d, the stencil's value at d: row 0's column negated on the m x m
+    grid, which negative indices wrap.  Each value enters as a product
+    with e0 would leave it (a zero comes out +0).
     """
     m = _side(A)
     cj, ci = np.divmod(A.col_indices[: A.row_offsets[1]], m)
