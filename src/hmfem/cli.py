@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-# Unused here (snapshots use RunResult.grid); perfbench's tracer hooks this name.
+# build_grid is unused here (snapshots use RunResult.grid); perfbench's tracer hooks it.
 from .grid import DofGrid, build_grid  # noqa: F401
 from .integrate import DEFAULT_CAP, RunResult, check_run_inputs, run, step_count
 from .problems import preset

@@ -2,11 +2,11 @@
 
 
 class InvalidPartitionError(ValueError):
-    """Partition-point count too small to form a periodic mesh."""
+    """Partition-point count not an integer, or too small to form a periodic mesh."""
 
 
 class InvalidDomainError(ValueError):
-    """Nonpositive domain side length."""
+    """Domain side length not finite and positive."""
 
 
 class ShapeError(ValueError):

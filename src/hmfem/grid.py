@@ -18,6 +18,7 @@ racing first reads may build it twice, with identical results.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -127,12 +128,15 @@ def dof_of_node(grid: DofGrid, i: int, j: int) -> int:
 
 def build_grid(Lx: float, Ly: float, n: int) -> DofGrid:
     """Build the uniform periodic triangulation with n partition points per side."""
-    if n < 3:
+    try:
+        m = operator.index(n) - 1
+    except TypeError:
+        raise InvalidPartitionError(f"n must be an integer, got {n!r}") from None
+    if m < 2:
         raise InvalidPartitionError(f"need n >= 3 partition points, got {n}")
-    if Lx <= 0 or Ly <= 0:
-        raise InvalidDomainError(f"domain sides must be positive, got {Lx} x {Ly}")
+    if not (0 < Lx < np.inf and 0 < Ly < np.inf):
+        raise InvalidDomainError(f"domain sides must be finite and > 0, got {Lx} x {Ly}")
 
-    m = n - 1
     h = Lx / m
     grads, area = _reference_triangles(h, Ly / m)
     indptr, indices, pair_offset = _stencil_pattern(m)

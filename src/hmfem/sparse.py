@@ -375,7 +375,8 @@ def m_norm(M: CsrMatrix, v: np.ndarray) -> float:
     """sqrt(v' M v): the L2 norm of the FE function with coefficients v."""
     v = np.asarray(v, dtype=float)
     q = float(v @ matvec(M, v))
-    scale = float(np.abs(M.values).max(initial=0.0)) * float(v @ v)
-    if q < -1e-12 * max(scale, EPS_FLOOR):
-        raise NotSpdError(f"quadratic form {q:.3e} negative beyond round-off")
+    if q < 0:  # the refusal's bound is negative, so only then can it hold
+        scale = float(np.abs(M.values).max(initial=0.0)) * float(v @ v)
+        if q < -1e-12 * max(scale, EPS_FLOOR):
+            raise NotSpdError(f"quadratic form {q:.3e} negative beyond round-off")
     return float(np.sqrt(max(q, 0.0)))

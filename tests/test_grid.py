@@ -32,13 +32,16 @@ def test_spacing_and_six_element_support():
     assert (counts == 6).all()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 5.0, 5.5, np.float64(5.0)])
 def test_invalid_partition(n):
     with pytest.raises(InvalidPartitionError):
         build_grid(1.0, 1.0, n)
 
 
-@pytest.mark.parametrize("Lx,Ly", [(0.0, 1.0), (1.0, -2.0)])
+@pytest.mark.parametrize(
+    "Lx,Ly",
+    [(0.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, np.nan)],
+)
 def test_invalid_domain(Lx, Ly):
     with pytest.raises(InvalidDomainError):
         build_grid(Lx, Ly, 5)

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,29 @@ def test_setup_memory_peak_per_dof():
     assert grid_kept / g.N <= 48 and grid_peak / g.N <= 53
     assert kept / g.N <= 460 and peak / g.N <= 509
     assert ops.grid is g and S.nrows == g.N
+
+
+def test_records_per_step():
+    # The basis of MAX_STEPS: a run keeps 417-426 B of records per step (its
+    # time, StepReport and Diagnostics with their floats and list slots),
+    # taken as the difference of what a 100-step and a 500-step run keep with
+    # snapshots off.  The bound leaves 16% over 425 B for allocator and
+    # library variation and stays below 0.5 KB.
+    cfg = SolverConfig(tau=0.01, method="semilinear")
+
+    def kept(T):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = run(preset(2), cfg, T=T, snapshot_every=MAX_STEPS, n=5)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], len(res.reports)
+        finally:
+            tracemalloc.stop()
+
+    (k1, s1), (k2, s2) = kept(1.0), kept(5.0)
+    assert (s1, s2) == (100, 500)
+    assert (k2 - k1) / (s2 - s1) <= 493
 
 
 @pytest.mark.parametrize("method", ["newton", "chord", "modified", "semilinear"])

@@ -499,3 +499,5 @@ def test_m_norm_rejects_indefinite():
     neg = csr(-np.eye(2))
     with pytest.raises(NotSpdError):
         m_norm(neg, np.ones(2))
+    # q = -1e-14 is negative only within round-off of M's scale: norm 0, no refusal.
+    assert m_norm(csr(np.diag([1.0, -1e-14])), np.array([0.0, 1.0])) == 0.0
