@@ -59,7 +59,11 @@ class FemOperators:
     ``solvers.cached_solver``, and per tau the triple (-tau R, inverse of
     [[-tau R, M], [K, -M]], its rounding floor).  That inverse is a
     ``SpectralSolver`` of the 2x2 block of symbols, exact when the drift is
-    uniform and approximate otherwise.  The cache never affects results.
+    uniform and approximate otherwise; it takes the symbol of M that M's
+    inverse left in the cache, so a run transforms M's stencil once.
+    One slot, "accepted", holds the last audited state with its S(U) and
+    M W, which the next step from that state and its diagnostics read
+    (``solvers.state_products``).  The cache never affects results.
     """
 
     M: CsrMatrix

@@ -27,6 +27,7 @@ from .solvers import (
     m_norm,
     prepare_steps,
     require_integer,
+    state_products,
     step,
     tau_bound_report,
 )
@@ -36,8 +37,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_CAP = 0.3
 
-#: The most steps a run takes.  A run keeps about 0.42 KB of records per step
-#: (417-426 B, tracemalloc), so this bounds them near 0.43 GB before snapshots;
+#: The most steps a run takes.  A run keeps about 0.46 KB of records per step
+#: (456-457 B, tracemalloc), so this bounds them near 0.46 GB before snapshots;
 #: the paper's long runs take thousands of steps.
 MAX_STEPS = 10**6
 
@@ -100,6 +101,10 @@ class RunResult:
     def total_linear_iterations(self) -> int:
         return sum(r.n_linear_iters for r in self.reports)
 
+    def total_audit_time(self) -> float:
+        """The residual audits' time, which ``total_wall_time`` leaves out."""
+        return sum(r.audit_s for r in self.reports)
+
 
 def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
     """Initial W from the elliptic constraint: solve M W0 = K U0.
@@ -114,10 +119,12 @@ def init_w0(ops: FemOperators, U0: np.ndarray) -> np.ndarray:
 
 
 def _diagnose(ops: FemOperators, state: State) -> Diagnostics:
+    # After a step the audit has formed M W of the state (``state_products``).
+    _, MW = state_products(ops, state, for_step=False)
     return Diagnostics(
         u_max=float(np.abs(state.U).max()),
         u_mnorm=m_norm(ops.M, state.U),
-        w_mnorm=m_norm(ops.M, state.W),
+        w_mnorm=m_norm(ops.M, state.W, MW),
     )
 
 

@@ -31,9 +31,18 @@ step goes through ``_Work.solve``: it refuses a non-finite right-hand
 side, corrects against a nearby inverse down to the residual's rounding
 floor, falls back to a fresh LU of the system when the correction stalls,
 and counts the corrections and LUs.  ``ops.cache`` keeps the FFT inverses
-of M and K and, per tau, -tau R with the inverse of the state-free
-matrix, each with the rounding floor of its matrix, so a floor costs no
-set-up per step.
+of M and K and, per tau, -tau R with the inverse of the state-free matrix,
+each with the rounding floor of its matrix, so a floor costs no set-up
+per step; the elimination takes the symbol of M that M's inverse left.
+
+After every step the residual audit evaluates F afresh at the new state,
+outside ``wall_time`` (its own time is ``StepReport.audit_s``).  It forms
+S(U) and M W of that state, and ``ops.cache["accepted"]`` keeps them with
+the state: the run's diagnostics read its M W, and the next step from it
+takes both as its S(U_t) and Z (``state_products``), so that step's
+``wall_time`` does not count them.  Any other state, the initial one or a
+caller's own, gets fresh products, so the slot never changes a result.
+A state's arrays must not be changed once it has been audited.
 """
 
 from __future__ import annotations
@@ -59,6 +68,8 @@ from .sparse import (
     inf_norm,
     m_norm,
     matvec,
+    matvec_add,
+    norm2,
     rounding_floor,
     stencil_norm,
     symbol,
@@ -114,23 +125,33 @@ class StepReport:
     converged: bool
     n_factor: int = 0  # fresh LU factorizations built inside the step
     n_linear_iters: int = 0  # defect corrections over all its linear solves
+    audit_s: float = 0.0  # the residual audit's own time, outside wall_time
 
 
 def rel_err(u_new: np.ndarray, u_old: np.ndarray) -> float:
     """||u_new - u_old|| / ||u_old||, falling back to absolute error near zero."""
-    diff = float(np.linalg.norm(u_new - u_old))
-    denom = float(np.linalg.norm(u_old))
+    diff = norm2(u_new - u_old)
+    denom = norm2(u_old)
     if denom < REL_ERR_FLOOR:
         return diff
     return diff / denom
 
 
 def residual(
-    ops: FemOperators, S_U: CsrMatrix, state: State, Z: np.ndarray, tau: float
+    ops: FemOperators,
+    S_U: CsrMatrix,
+    state: State,
+    Z: np.ndarray,
+    tau: float,
+    MW: np.ndarray | None = None,
 ) -> np.ndarray:
-    """F(U, W) stacked as a 2N vector; S_U must be assemble_S at state.U."""
+    """F(U, W) stacked as a 2N vector; S_U must be assemble_S at state.U.
+
+    ``MW``, when given, must be ``matvec(ops.M, state.W)``.
+    """
     U, W = state.U, state.W
-    MW = matvec(ops.M, W)
+    if MW is None:
+        MW = matvec(ops.M, W)
     top = MW + tau * matvec(S_U, W) - tau * matvec(ops.R, U) - Z
     bottom = matvec(ops.K, U) - MW
     return np.concatenate([top, bottom])
@@ -161,7 +182,7 @@ class _Work:
         (``sparse.rounding_floor``); the LU at that of its own matrix.
         """
         with np.errstate(over="ignore"):  # an overflowing norm is reported below
-            bnorm = np.linalg.norm(b)
+            bnorm = norm2(b)
         if not math.isfinite(bnorm):
             raise NonFiniteError(f"non-finite right-hand side (norm {bnorm})")
         try:
@@ -179,13 +200,25 @@ def cached_solver(ops: FemOperators, name: str):
     """The run's FFT inverse of ``ops.M`` or ``ops.K`` (``name`` "M" or "K").
 
     Returns the pair (``apply_inverse`` of a ``SpectralSolver``, the
-    matrix's rounding floor).
+    matrix's rounding floor).  The matrix's symbol stays in the cache for
+    the per-tau elimination, which reads M's too (``_taken_symbol``).
     """
     if name not in ops.cache:
         A = getattr(ops, name)
-        inverse = SpectralSolver([[symbol(A)]]).apply_inverse
+        ops.cache[("symbol", name)] = sym = symbol(A)
+        inverse = SpectralSolver([[sym]]).apply_inverse
         ops.cache[name] = inverse, rounding_floor(stencil_norm(A))
     return ops.cache[name]
+
+
+def _taken_symbol(ops: FemOperators, name: str) -> np.ndarray:
+    """The symbol ``cached_solver`` left for ``ops.M`` or ``ops.K``, else a fresh one.
+
+    It is taken out of the cache: no step reads a symbol, and one kept
+    through the steps cost n=129 runs extra page faults.
+    """
+    sym = ops.cache.pop(("symbol", name), None)
+    return symbol(getattr(ops, name)) if sym is None else sym
 
 
 def _cached_elimination(ops: FemOperators, tau: float):
@@ -203,7 +236,8 @@ def _cached_elimination(ops: FemOperators, tau: float):
     key = ("elimination", tau)
     if key not in ops.cache:
         neg_tau_R = -tau * ops.R
-        rho, mu, kappa = circulant_symbol(neg_tau_R), symbol(ops.M), symbol(ops.K)
+        rho = circulant_symbol(neg_tau_R)
+        mu, kappa = _taken_symbol(ops, "M"), _taken_symbol(ops, "K")
         eliminate = SpectralSolver([[rho, mu], [kappa, -mu]]).apply_inverse
         floor = rounding_floor(
             inf_norm(neg_tau_R) + stencil_norm(ops.K), 2.0 * stencil_norm(ops.M)
@@ -224,6 +258,9 @@ def prepare_steps(ops: FemOperators, cfg: SolverConfig) -> None:
     if cfg.method == "semilinear":
         cached_solver(ops, "M")
         cached_solver(ops, "K")
+        # No semilinear step builds the elimination that takes the symbols.
+        ops.cache.pop(("symbol", "M"), None)
+        ops.cache.pop(("symbol", "K"), None)
     else:
         _cached_elimination(ops, cfg.tau)
 
@@ -238,7 +275,9 @@ def _form_system(
     """One inner system A = [[C, M + tau S], [K, -M]] on the shared pattern.
 
     C is tau (B - R), or -tau R without B.  Returns ``apply`` (x -> A x) and
-    a thunk that builds A as one 2N x 2N matrix for the fallback.
+    a thunk that builds A as one 2N x 2N matrix for the fallback.  ``apply``
+    adds the four block products into the halves of one output: C U then
+    D W on top, and below K U onto -M W.
     """
     M, K, N = ops.M, ops.K, ops.grid.N
     D = replace(M, values=M.values + tau * S.values)
@@ -246,8 +285,13 @@ def _form_system(
 
     def apply(x):
         U, W = x[:N], x[N:]
-        top = matvec(C, U) + matvec(D, W)
-        return np.concatenate([top, matvec(K, U) - matvec(M, W)])
+        y = np.zeros(2 * N)
+        top, bottom = y[:N], y[N:]
+        matvec_add(C, U, top)
+        matvec_add(D, W, top)
+        np.negative(matvec_add(M, W, bottom), out=bottom)
+        matvec_add(K, U, bottom)
+        return y
 
     return apply, lambda: block2x2(C, D, K, -M)
 
@@ -260,30 +304,51 @@ def _checked_rel_err(sol: np.ndarray, U: np.ndarray) -> float:
     return err
 
 
+def state_products(ops: FemOperators, state: State, *, for_step: bool = True):
+    """S(U) and M W at ``state``: the audit's when it audited ``state``, else fresh.
+
+    A step from ``state`` takes them out of the slot, so that they live no
+    longer than products it formed itself.  The diagnostics (not
+    ``for_step``) read M W alone and leave the slot as it is; a fresh pair
+    for them holds None for S, which is not formed.
+    """
+    slot = ops.cache.pop("accepted", None) if for_step else ops.cache.get("accepted")
+    if slot is not None and slot[0] is state:
+        return slot[1], slot[2]
+    S_U = assemble_S(ops.grid, state.U) if for_step else None
+    return S_U, matvec(ops.M, state.W)
+
+
 def _final_residual_norm(ops, state, Z, tau) -> float:
+    """||F|| at the step's new state, evaluated afresh; keeps its S(U) and M W."""
     S_new = assemble_S(ops.grid, state.U)
-    return float(np.linalg.norm(residual(ops, S_new, state, Z, tau)))
+    MW = matvec(ops.M, state.W)
+    ops.cache["accepted"] = state, S_new, MW
+    return norm2(residual(ops, S_new, state, Z, tau, MW))
 
 
 def _report(ops, state, Z, cfg, k, err, t0, work, converged=None) -> StepReport:
     # Stop the clock before the residual audit: wall_time measures the
     # algorithmic work of the method, not the instrumentation.
-    wall = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    residual_norm = _final_residual_norm(ops, state, Z, cfg.tau)
     return StepReport(
         iterations=k,
         final_rel_err=err,
-        residual_norm=_final_residual_norm(ops, state, Z, cfg.tau),
-        wall_time=wall,
+        residual_norm=residual_norm,
+        wall_time=t1 - t0,
         converged=err <= cfg.tol if converged is None else converged,
         n_factor=work.n_factor,
         n_linear_iters=work.n_linear_iters,
+        audit_s=time.perf_counter() - t1,
     )
 
 
 def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     """The inner loop shared by newton, chord and modified.
 
-    Each iteration assembles S(U) and solves the block system
+    Each iteration assembles S(U), the first reading S(U_t) from
+    ``state_products``, and solves the block system
     [[-tau R (+ tau B(W)), M + tau S], [K, -M]] x = [g; 0].  The matrix is
     formed at the first iterate, and again at every iterate when
     ``refresh`` is set; the B(W) block enters only ``with_b``.  Without B
@@ -302,11 +367,11 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     """
     t0 = time.perf_counter()
     tau = cfg.tau
-    M, N = ops.M, ops.grid.N
+    N = ops.grid.N
     work = _Work()
     # -tau R is C of every inner system without B.
     neg_tau_R, eliminate, floor = _cached_elimination(ops, tau)
-    Z = matvec(M, state_t.W)
+    S, Z = state_products(ops, state_t)
     zeros = np.zeros(N)
     rhs, precond = None, eliminate
     if not with_b:
@@ -325,7 +390,8 @@ def _newton_type_step(ops, state_t, cfg, *, with_b, refresh):
     err = math.inf
     k = 0
     while err > cfg.tol and k < cfg.k_max:
-        S = assemble_S(ops.grid, U)
+        if k:
+            S = assemble_S(ops.grid, U)
         if k == 0 or refresh:
             S_A = S
             B = assemble_B(ops.grid, W) if with_b else None
@@ -379,8 +445,7 @@ def step_semilinear(ops: FemOperators, state_t: State, cfg: SolverConfig):
     tau = cfg.tau
     M, K = ops.M, ops.K
     work = _Work()
-    Z = matvec(M, state_t.W)
-    S_t = assemble_S(ops.grid, state_t.U)
+    S_t, Z = state_products(ops, state_t)
     D = replace(M, values=M.values + tau * S_t.values)
     rhs = Z + tau * matvec(ops.R, state_t.U)
     inv_M, floor_M = cached_solver(ops, "M")

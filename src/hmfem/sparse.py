@@ -5,10 +5,12 @@ of a run lies on the grid's one sparsity pattern, so a sum of them is a sum
 of value arrays, ``replace(A, values=...)``, and ``CsrMatrix`` offers no
 algebra beyond scaling.  ``block2x2``, through ``from_scipy``, is the one
 way off that pattern: it builds the 2N x 2N matrix of the LU fallback.
-``matvec`` runs scipy's compiled CSR kernel on a matrix's own arrays, so a
+``matvec_add`` runs scipy's compiled CSR kernel on a matrix's own arrays,
+adding A x into a given output, and ``matvec`` is it into zeros, so a
 step matrix never becomes a scipy object; only the cold paths, ``to_dense``,
 ``block2x2`` and ``SparseLu`` (``splu``), build one.  The 2-D FFTs likewise
-call numpy's compiled pocketfft kernels directly.
+call numpy's compiled pocketfft kernels directly, and ``norm2`` takes a
+vector's 2-norm without ``np.linalg.norm``'s dispatch.
 ``defect_correction`` is the one refinement loop: ``SparseLu``, which only
 the fallback of a stalled correction builds, and ``SpectralSolver`` supply
 the inverses it corrects with.  It stops once the residual meets the
@@ -123,12 +125,33 @@ def matvec(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
     fresh matrices, and at n=17 building a scipy matrix for each and going
     through its operator took several times the kernel's 3-5 us.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.ncols,):
-        raise ShapeError(f"matvec needs length {A.ncols}, got shape {x.shape}")
-    y = np.zeros(A.nrows)
+    return matvec_add(A, np.asarray(x, dtype=float), np.zeros(A.nrows))
+
+
+def matvec_add(A: CsrMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Add A @ x into the float array y in place; returns y.
+
+    ``csr_matvec`` starts each row's sum from y's entry and adds the row's
+    products in stored order, so ``matvec`` is this into a zero vector.  y
+    may be a view of a larger array: several products then fill one
+    output without temporaries.
+    """
+    if x.shape != (A.ncols,) or y.shape != (A.nrows,):
+        raise ShapeError(
+            f"matvec needs lengths {A.ncols} and {A.nrows}, got shapes {x.shape} and {y.shape}"
+        )
     csr_matvec(A.nrows, A.ncols, A.row_offsets, A.col_indices, A.values, x, y)
     return y
+
+
+def norm2(x: np.ndarray) -> float:
+    """The 2-norm of a 1-D float array, sqrt(x . x).
+
+    It is what ``np.linalg.norm`` computes for such an array, bit for bit,
+    without that wrapper's dispatch, which costs more than the dot product
+    at n=17.  Like it, the dot product warns when it overflows.
+    """
+    return math.sqrt(x.dot(x))
 
 
 def block2x2(A11: CsrMatrix, A12: CsrMatrix, A21: CsrMatrix, A22: CsrMatrix) -> CsrMatrix:
@@ -156,10 +179,10 @@ def defect_correction(b, apply, precond, floor=None):
     raised with the corrections made; a NaN residual never passes.
     Returns x and the number of corrections.
     """
-    bnorm = max(np.linalg.norm(b), EPS_FLOOR)
+    bnorm = max(norm2(b), EPS_FLOOR)
     x = precond(b)
     r = b - apply(x)
-    res = np.linalg.norm(r) / bnorm
+    res = norm2(r) / bnorm
     stop = _ROUNDOFF_RTOL
     k = 0
     while res > stop and k < _MAX_CORRECTIONS:
@@ -169,7 +192,7 @@ def defect_correction(b, apply, precond, floor=None):
                 break
         x_new = x + precond(r)
         r_new = b - apply(x_new)
-        res_new = np.linalg.norm(r_new) / bnorm
+        res_new = norm2(r_new) / bnorm
         k += 1
         if not res_new <= 0.5 * res:
             if res_new < res:
@@ -371,10 +394,13 @@ def _checked_pivot(diagonal: np.ndarray) -> None:
         )
 
 
-def m_norm(M: CsrMatrix, v: np.ndarray) -> float:
-    """sqrt(v' M v): the L2 norm of the FE function with coefficients v."""
+def m_norm(M: CsrMatrix, v: np.ndarray, Mv: np.ndarray | None = None) -> float:
+    """sqrt(v' M v): the L2 norm of the FE function with coefficients v.
+
+    ``Mv``, when given, must be ``matvec(M, v)``, formed by the caller.
+    """
     v = np.asarray(v, dtype=float)
-    q = float(v @ matvec(M, v))
+    q = float(v @ (matvec(M, v) if Mv is None else Mv))
     if q < 0:  # the refusal's bound is negative, so only then can it hold
         scale = float(np.abs(M.values).max(initial=0.0)) * float(v @ v)
         if q < -1e-12 * max(scale, EPS_FLOOR):

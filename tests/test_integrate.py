@@ -1,4 +1,5 @@
 import gc
+import time
 import tracemalloc
 
 import numpy as np
@@ -140,10 +141,10 @@ def test_setup_memory_peak_per_dof():
 
 
 def test_records_per_step():
-    # The basis of MAX_STEPS: a run keeps 417-426 B of records per step (its
+    # The basis of MAX_STEPS: a run keeps 456-457 B of records per step (its
     # time, StepReport and Diagnostics with their floats and list slots),
     # taken as the difference of what a 100-step and a 500-step run keep with
-    # snapshots off.  The bound leaves 16% over 425 B for allocator and
+    # snapshots off.  The bound leaves 8% over 457 B for allocator and
     # library variation and stays below 0.5 KB.
     cfg = SolverConfig(tau=0.01, method="semilinear")
 
@@ -175,8 +176,9 @@ def test_run_builds_step_inputs_before_the_first_step(monkeypatch, method):
     monkeypatch.setattr(integrate, "step", spy)
     cfg = SolverConfig(tau=0.1, method=method)
     res = run(preset(2), cfg, T=0.2, n=9)
+    # The second step also finds the first's audited products.
     cached = ["K", "M"] if method == "semilinear" else ["('elimination', 0.1)", "M"]
-    assert seen == [(True, cached)] * 2
+    assert seen == [(True, cached), (True, sorted(cached + ["accepted"]))]
     assert res.stop_reason == "reached_T"
 
 
@@ -189,6 +191,24 @@ def test_run_times_and_counts():
     assert res.state_times == pytest.approx([0.0, 0.2, 0.4, 0.5])
     d = np.diff(res.times)
     assert (d > 0).all()
+
+
+def test_audit_time_is_kept_apart_from_wall_time(monkeypatch):
+    # Each step's audit is timed on its own, outside wall_time.
+    import hmfem.solvers as sv
+
+    original = sv._final_residual_norm
+
+    def slow_audit(*args):
+        time.sleep(0.05)
+        return original(*args)
+
+    monkeypatch.setattr(sv, "_final_residual_norm", slow_audit)
+    res = run(preset(2), SolverConfig(tau=0.1), T=0.3, n=9)
+    assert len(res.reports) == 3
+    for r in res.reports:
+        assert r.audit_s >= 0.05 > r.wall_time
+    assert res.total_audit_time() == sum(r.audit_s for r in res.reports)
 
 
 def test_run_deterministic():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from hmfem import (
     step_newton,
     step_semilinear,
 )
+import hmfem.solvers as sv
+from hmfem import integrate
 from hmfem.oracle import dense_newton_step
 from hmfem.problems import ProblemSpec
 from hmfem.solvers import _cached_elimination, _Work, cached_solver, tau_bound_report
@@ -232,8 +235,6 @@ def test_implicit_run_factors_only_n_by_n(monkeypatch, method):
     ],
 )
 def test_per_step_work_by_method(monkeypatch, stepper, n_S, n_B, n_matrix):
-    import hmfem.solvers as sv
-
     ops, s0 = initial_state(preset(2), 17)
     cfg = SolverConfig(tau=0.1)
     step_modified(ops, s0, cfg)  # builds the run's elimination outside the count
@@ -377,9 +378,9 @@ def test_cache_holds_one_elimination_per_tau(monkeypatch, stepper):
     # Per tau a run caches -tau R, which every step's systems use, with the
     # per-mode inverse of [[-tau R, M], [K, -M]] and its rounding floor, on
     # a uniform drift (preset 2) and a varying one (preset 5) alike.  The
-    # only other entry is M's FFT inverse with its floor, built by init_w0.
-    import hmfem.solvers as sv
-
+    # only other entries are M's FFT inverse with its floor, built by
+    # init_w0, and the audited state's products.  The elimination takes
+    # M's symbol from init_w0's inverse and transforms K's stencil alone.
     original = sv._form_system
     solves = spy_solves(monkeypatch)
     cfg = SolverConfig(tau=0.1)
@@ -394,10 +395,15 @@ def test_cache_holds_one_elimination_per_tau(monkeypatch, stepper):
             return original(ops, tau, neg_tau_R, S, B)
 
         monkeypatch.setattr(sv, "_form_system", spy)
+        transformed = []
+        monkeypatch.setattr(sv, "symbol", lambda A: transformed.append(A) or symbol(A))
+        assert ("symbol", "M") in ops.cache
         state, _ = stepper(ops, s0, cfg)
-        stepper(ops, state, cfg)
+        state, _ = stepper(ops, state, cfg)
+        assert len(transformed) == 1 and transformed[0] is ops.K
         neg_tau_R, eliminate, floor = ops.cache.pop(("elimination", 0.1))
         assert ops.cache.pop("M") is entry_M
+        assert ops.cache.pop("accepted")[0] is state
         assert not ops.cache
         inv_M, _ = entry_M
         assert isinstance(getattr(inv_M, "__self__", None), SpectralSolver)
@@ -496,20 +502,22 @@ def test_varying_drift_newton_matches_dense_oracle(tau):
 
 @pytest.mark.parametrize("method", ["newton", "modified"])
 def test_step_matrices_share_the_grid_pattern(monkeypatch, method):
-    # D and C are sums of operators on the grid's one pattern: they hold
-    # its index arrays, not copies.
-    import hmfem.solvers as sv
+    # D and C are sums of operators on the grid's one pattern: the compiled
+    # kernel reads its index arrays, not copies, for every step product.
+    import hmfem.sparse as sparse
 
     ops, s0 = initial_state(preset(5), 9)
     grid, tau = ops.grid, 0.1
-    multiplied = []
-    original_matvec = sv.matvec
+    Q = grid.s_factor
+    products = []
+    original_kernel = sparse.csr_matvec
 
-    def recording_matvec(A, x):
-        multiplied.append(A)
-        return original_matvec(A, x)
+    def recording_kernel(nrows, ncols, row_offsets, col_indices, values, x, y):
+        if row_offsets is not Q.row_offsets:  # S(U)'s values, Q U
+            products.append((row_offsets, col_indices, values))
+        return original_kernel(nrows, ncols, row_offsets, col_indices, values, x, y)
 
-    monkeypatch.setattr(sv, "matvec", recording_matvec)
+    monkeypatch.setattr(sparse, "csr_matvec", recording_kernel)
     sv.STEPPERS[method](ops, s0, SolverConfig(tau=tau))
     S0 = assemble_S(grid, s0.U)
     D = ops.M.values + tau * S0.values
@@ -517,11 +525,64 @@ def test_step_matrices_share_the_grid_pattern(monkeypatch, method):
         C = tau * (assemble_B(grid, s0.W).values - ops.R.values)
     else:
         C = -tau * ops.R.values
-    assert any(np.array_equal(A.values, D) for A in multiplied)
-    assert any(np.array_equal(A.values, C) for A in multiplied)
-    for A in multiplied:
-        assert A.row_offsets is grid.csr_indptr
-        assert A.col_indices is grid.csr_indices
+    assert any(np.array_equal(values, D) for _, _, values in products)
+    assert any(np.array_equal(values, C) for _, _, values in products)
+    for row_offsets, col_indices, _ in products:
+        assert row_offsets is grid.csr_indptr
+        assert col_indices is grid.csr_indices
+
+
+@pytest.mark.parametrize("with_b", [False, True])
+@pytest.mark.parametrize("tid", [2, 5])
+def test_block_apply_matches_the_assembled_matrix(rng, tid, with_b):
+    # apply adds the four block products into one output; it is the
+    # product with the 2N x 2N matrix of the fallback up to round-off.
+    ops, s0 = initial_state(preset(tid), 9)
+    tau = 0.1
+    S = assemble_S(ops.grid, s0.U + rng.standard_normal(ops.grid.N))
+    B = assemble_B(ops.grid, s0.W + rng.standard_normal(ops.grid.N)) if with_b else None
+    apply, matrix = sv._form_system(ops, tau, -tau * ops.R, S, B)
+    x = rng.standard_normal(2 * ops.grid.N)
+    ref = matrix().to_dense() @ x
+    assert np.linalg.norm(apply(x) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("method", ["newton", "modified", "semilinear"])
+def test_chained_steps_read_the_audits_products(monkeypatch, method):
+    # A step from the state the last audit evaluated reads that audit's
+    # S(U) and M W: the run is bit-identical to one whose steps all form
+    # them afresh, and assembles S once fewer per step after the first.
+    cfg = SolverConfig(tau=0.1, method=method)
+    S_calls = []
+    original_S = sv.assemble_S
+
+    def counted_S(grid, U):
+        S_calls[-1] += 1
+        return original_S(grid, U)
+
+    def clearing_step(ops, state, cfg):
+        ops.cache.pop("accepted", None)
+        return sv.step(ops, state, cfg)
+
+    monkeypatch.setattr(sv, "assemble_S", counted_S)
+    for tid in (2, 5):
+        runs = []
+        for fresh in (False, True):
+            with monkeypatch.context() as m:
+                if fresh:
+                    m.setattr(integrate, "step", clearing_step)
+                S_calls.append(0)
+                runs.append(run(preset(tid), cfg, T=0.5, n=9))
+        shared, fresh = runs
+        assert len(shared.reports) == 5
+        assert S_calls[-1] - S_calls[-2] == 4
+        for a, b in zip(shared.states, fresh.states, strict=True):
+            assert np.array_equal(a.U, b.U) and np.array_equal(a.W, b.W)
+        assert shared.diagnostics == fresh.diagnostics
+        for a, b in zip(shared.reports, fresh.reports, strict=True):
+            assert replace(a, wall_time=0.0, audit_s=0.0) == replace(
+                b, wall_time=0.0, audit_s=0.0
+            )
 
 
 def test_chord_divergence_stops_as_non_finite():
@@ -563,8 +624,6 @@ def test_semilinear_non_finite_iterate_raises(monkeypatch):
 
 
 def test_semilinear_solves_w_then_u_through_work(monkeypatch):
-    import hmfem.solvers as sv
-
     ops, s0 = initial_state(preset(2), 17)
     solves = spy_solves(monkeypatch)
     corrections = []
